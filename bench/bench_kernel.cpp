@@ -17,10 +17,6 @@
 //    response-time histogram is exported as `hist_*` metrics — these are
 //    simulated counts, so benchstat holds them bit-identical across runs
 //    and MUTSVC_JOBS values (wall-clock load on the host cannot move them).
-//  - kernel.parallel_trial: one many-edge sharded trial run sequentially and
-//    again under the windowed executor with four workers. The event counts
-//    and sample counts must match bit-for-bit (the bench aborts otherwise);
-//    the reported `wall_speedup_x` is the within-trial parallel win.
 //  - kernel.sessions: one million concurrent sessions held as 40-byte FSM
 //    records in the SessionFsmEngine arena (DESIGN §16) against a local
 //    fixed-latency executor. Aborts if memory-per-session leaves its budget
@@ -150,9 +146,6 @@ perf::Benchmark bench_response_hist() {
   spec.level = core::ConfigLevel::kStatefulComponentCaching;
   spec.duration = sim::sec(fast_mode() ? 120 : 300);
   spec.warmup = sim::sec(30);
-  // The metrics sampler is incompatible with the windowed executor, so this
-  // workload pins the sequential loop even under MUTSVC_PAR_DOMAINS.
-  spec.parallel_domains = 0;
   core::Experiment exp{app.driver(), spec, core::petstore_calibration()};
   exp.enable_metrics(sim::sec(10));
   perf::WallTimer timer;
@@ -164,67 +157,6 @@ perf::Benchmark bench_response_hist() {
   stats::MetricsRegistry& main = exp.metrics(exp.nodes().main_server);
   perf::add_histogram(b, "response_ms", main.histogram("response_ms"));
   b.add("wall_seconds", wall);
-  return b;
-}
-
-perf::Benchmark bench_parallel_trial() {
-  // The windowed-executor speedup workload (DESIGN §15): a many-edge
-  // query-caching trial over eight DB shards, where every edge island stays
-  // an independent lookahead domain (async updates would merge them into the
-  // main island). The identical trial runs sequentially and with four
-  // windowed workers; the trajectories must match bit-for-bit before any
-  // speedup is worth reporting.
-  struct TrialResult {
-    double wall = 0.0;
-    std::uint64_t events = 0;
-    std::uint64_t samples = 0;
-  };
-  auto run_once = [](int workers) {
-    apps::petstore::PetStoreApp app;
-    core::HarnessCalibration cal = core::petstore_calibration();
-    cal.testbed.edge_count = 6;
-    core::ExperimentSpec spec;
-    spec.level = core::ConfigLevel::kQueryCaching;
-    spec.shard.shards = 8;
-    spec.total_request_rate = 60.0;
-    spec.duration = sim::sec(fast_mode() ? 60 : 240);
-    spec.warmup = sim::sec(10);
-    spec.parallel_domains = workers;
-    core::Experiment exp{app.driver(), spec, cal};
-    perf::WallTimer timer;
-    exp.run();
-    return TrialResult{timer.seconds(), exp.simulator().executed_events(),
-                       exp.results().total_samples()};
-  };
-
-  const TrialResult serial = run_once(0);
-  const TrialResult par = run_once(4);
-  if (serial.events != par.events || serial.samples != par.samples) {
-    std::cerr << "bench_kernel: windowed trial diverged from sequential (" << par.events << "/"
-              << par.samples << " events/samples vs " << serial.events << "/" << serial.samples
-              << ")\n";
-    std::exit(1);
-  }
-  const double speedup = par.wall > 0.0 ? serial.wall / par.wall : 0.0;
-  // On a multi-core host the full-length run must clear the 1.5x acceptance
-  // bar; smoke runs and single-core hosts report honestly without gating.
-  const unsigned cores = std::thread::hardware_concurrency();  // simlint:allow(sim-shared-across-threads)
-  if (!fast_mode() && cores >= 4 && speedup < 1.5) {
-    std::cerr << "bench_kernel: kernel.parallel_trial speedup " << speedup << "x < 1.5x on a "
-              << cores << "-core host\n";
-    std::exit(1);
-  }
-
-  perf::Benchmark b{"kernel.parallel_trial", {}};
-  b.add("events", static_cast<double>(serial.events));
-  b.add("samples", static_cast<double>(serial.samples));
-  b.add("wall_serial_seconds", serial.wall);
-  b.add("wall_par4_seconds", par.wall);
-  b.add("wall_serial_events_per_sec",
-        serial.wall > 0.0 ? static_cast<double>(serial.events) / serial.wall : 0.0);
-  b.add("wall_par4_events_per_sec",
-        par.wall > 0.0 ? static_cast<double>(par.events) / par.wall : 0.0);
-  b.add("wall_speedup_x", speedup);
   return b;
 }
 
@@ -338,7 +270,6 @@ int main(int argc, char** argv) {
   results.push_back(bench_spilled_events());
   results.push_back(bench_indexed_finder());
   results.push_back(bench_response_hist());
-  results.push_back(bench_parallel_trial());
   results.push_back(bench_sessions());
 
   perf::Benchmark host{"host", {}};

@@ -1,8 +1,7 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <map>
+#include <set>
 #include <string>
 #include <utility>
 
@@ -15,47 +14,29 @@ namespace mutsvc::comp {
 /// Without the EJBHomeFactory pattern (§4.2), every remote invocation pays
 /// a JNDI home lookup round trip; with it, home stubs are cached after the
 /// first call and remote stubs of stateless façades are pooled too.
-///
-/// Layout note: the map holds a per-pair cached flag and is pre-populated
-/// (prepare) for every reachable pair before traffic flows, so during a
-/// run — including a parallel-domain run — lookups never mutate the map
-/// structure, and each pair's flag is only ever written by its caller
-/// node's own lookahead domain.
 class StubCache {
  public:
-  /// Pre-registers a (caller node, component) pair with an empty stub slot.
-  void prepare(net::NodeId caller, const std::string& component) {
-    cached_.try_emplace(std::make_pair(caller, component), false);
-  }
-
   /// Returns true if a stub exchange is needed (and records the stub as
   /// cached for next time).
   bool need_stub_exchange(net::NodeId caller, const std::string& component) {
-    auto key = std::make_pair(caller, component);
-    auto it = cached_.find(key);
-    if (it == cached_.end()) it = cached_.emplace(std::move(key), false).first;
-    if (it->second) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
+    if (!cached_.emplace(caller, component).second) {
+      ++hits_;
       return false;
     }
-    it->second = true;
-    misses_.fetch_add(1, std::memory_order_relaxed);
+    ++misses_;
     return true;
   }
 
-  /// Drops every cached stub (container cold start). Flags are reset in
-  /// place; the prepared map structure survives.
-  void clear() {
-    for (auto& [key, cached] : cached_) cached = false;
-  }
+  /// Drops every cached stub (container cold start).
+  void clear() { cached_.clear(); }
 
-  [[nodiscard]] std::uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  [[nodiscard]] std::uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
+  [[nodiscard]] std::uint64_t hits() const { return hits_; }
+  [[nodiscard]] std::uint64_t misses() const { return misses_; }
 
  private:
-  std::map<std::pair<net::NodeId, std::string>, bool> cached_;
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
+  std::set<std::pair<net::NodeId, std::string>> cached_;
+  std::uint64_t hits_ = 0;
+  std::uint64_t misses_ = 0;
 };
 
 }  // namespace mutsvc::comp

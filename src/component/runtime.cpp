@@ -4,7 +4,6 @@
 
 #include "component/binding.hpp"
 #include "sim/simcheck.hpp"
-#include "sim/simrace.hpp"
 
 namespace mutsvc::comp {
 
@@ -27,15 +26,6 @@ sim::Task<void> CallContext::cpu(sim::Duration d) {
 namespace {
 std::string query_class(const db::Query& q) {
   return "query:" + (q.aggregate_name.empty() ? q.table : q.aggregate_name);
-}
-
-// SimRace state keys: one logical object per (node, cache). Only built
-// when the analyzer is enabled — probe sites gate on simrace::enabled().
-std::string ro_state_key(net::NodeId node, const std::string& entity) {
-  return "rocache:" + std::to_string(node.value()) + ":" + entity;
-}
-std::string qc_state_key(net::NodeId node) {
-  return "qcache:" + std::to_string(node.value());
 }
 }  // namespace
 
@@ -144,17 +134,10 @@ Runtime::Runtime(sim::Simulator& sim, net::Topology& topo, net::Network& net,
       if (coalescer_) coalescer_->set_bound(cfg_.flow.coalescer_lane);
     }
   }
-  // Freeze the lazily-populated per-node maps before traffic flows: under
-  // parallel lookahead domains (sim/parallel.cpp) workers read these maps
-  // concurrently, so structural mutation is confined to construction. The
-  // accessors then only ever find pre-created entries. Sequential behaviour
-  // is unchanged — creation itself costs no simulated time.
-  profiles_.resize(std::max<std::size_t>(sim_.domain_count(), 1));
-  const std::vector<std::string> component_names = app_.component_names();
-  for (std::uint32_t n = 0; n < topo_.node_count(); ++n) {
-    (void)jdbc_for(net::NodeId{n});
-    for (const std::string& comp : component_names) stubs_.prepare(net::NodeId{n}, comp);
-  }
+  // Create every replica the plan declares up front, so the per-node
+  // metrics (sample_metrics) report each one from the first sample on —
+  // including a replica that is never read, which reports zeros instead of
+  // being missing from the report.
   for (net::NodeId n : plan_.query_cache_nodes()) (void)query_cache(n);
   for (const auto& [entity, nodes] : plan_.ro_replicas()) {
     for (net::NodeId n : nodes) (void)ro_cache(n, entity);
@@ -162,19 +145,12 @@ Runtime::Runtime(sim::Simulator& sim, net::Topology& topo, net::Network& net,
 }
 
 void Runtime::note_read(const std::string& key, std::uint64_t seen_version) {
-  // Staged against the observed-read shadow tracker: sequentially the
-  // closure runs inline right here; under parallel domains it replays at
-  // the window barrier in deterministic (time, key) stamp order, so the
-  // staleness stats (and the SimCheck probe) see exactly the sequential
-  // interleaving of reads and master advances.
-  sim_.sequenced([this, key, seen_version] {
-    observed_.observe_read(key, seen_version);
-    if (simcheck::enabled()) {
-      const bool invariant_applies = plan_.update_mode() == UpdateMode::kBlockingPush &&
-                                     failed_pushes_ == 0 && degraded_reads_ == 0;
-      simcheck::probe_zero_staleness(observed_.stale_reads(), invariant_applies);
-    }
-  });
+  consistency_.observe_read(key, seen_version);
+  if (simcheck::enabled()) {
+    const bool invariant_applies = plan_.update_mode() == UpdateMode::kBlockingPush &&
+                                   failed_pushes_ == 0 && degraded_reads_ == 0;
+    simcheck::probe_zero_staleness(consistency_.stale_reads(), invariant_applies);
+  }
 }
 
 const std::string& Runtime::entity_table(const std::string& entity) const {
@@ -250,12 +226,6 @@ sim::Task<std::uint64_t> Runtime::transfer_replica_state(net::NodeId from, net::
     for (const auto& [pk, e] : snap) bytes += db::wire_size(e.row) + 16;
     co_await update_rmi_->call_dynamic(from, to, bytes, [&]() -> sim::Task<net::Bytes> {
       co_await topo_.node(to).cpu->consume(cfg_.apply_update);
-      // SimRace: the install executes server-side at the destination,
-      // message-ordered after the snapshot read; synchronous below.
-      simrace::NodeScope race_scope(to.value());
-      if (simrace::enabled()) {
-        simrace::on_state_access(to.value(), ro_state_key(to, entity), /*is_write=*/true);
-      }
       cache::ReadOnlyCache& dst = ro_cache(to, entity);
       // apply_push, not fill: version-monotonic in both directions — a
       // concurrent push that already landed at `to` with a newer version
@@ -274,10 +244,6 @@ sim::Task<std::uint64_t> Runtime::transfer_replica_state(net::NodeId from, net::
       }
       co_await update_rmi_->call_dynamic(from, to, bytes, [&]() -> sim::Task<net::Bytes> {
         co_await topo_.node(to).cpu->consume(cfg_.apply_update);
-        simrace::NodeScope race_scope(to.value());
-        if (simrace::enabled()) {
-          simrace::on_state_access(to.value(), qc_state_key(to), /*is_write=*/true);
-        }
         cache::QueryCache& dst = query_cache(to);
         for (const auto& [key, e] : snap) dst.apply_push(key, e.rows, e.version);
         co_return 16;
@@ -379,10 +345,10 @@ void Runtime::sample_metrics(sim::SimTime now, sim::Duration window) {
   // Replica staleness vs. the plan's TACT bound: the observed mean version
   // lag should stay at 0 under blocking push and within the bound under
   // async updates.
-  m.set_counter("consistency.stale_reads", observed_.stale_reads());
-  m.set_gauge("consistency.stale_fraction", observed_.stale_fraction());
+  m.set_counter("consistency.stale_reads", consistency_.stale_reads());
+  m.set_gauge("consistency.stale_fraction", consistency_.stale_fraction());
   m.set_gauge("consistency.staleness_bound", static_cast<double>(plan_.staleness_bound()));
-  m.series("consistency.mean_version_lag", window).add(now, observed_.mean_version_lag());
+  m.series("consistency.mean_version_lag", window).add(now, consistency_.mean_version_lag());
 }
 
 void Runtime::clear_node_caches(net::NodeId node) {
@@ -637,14 +603,6 @@ sim::Task<std::optional<db::Row>> Runtime::read_entity_impl(net::NodeId node,
     cache::ReadOnlyCache& cache = ro_cache(node, entity);
     co_await topo_.node(node).cpu->consume(cfg_.cache_access);
     if (trace) trace->add(SpanKind::kCacheRead, cfg_.cache_access);
-    {
-      // SimRace: the replica lookup below is a synchronous section on the
-      // reading node; the scope must close before the refresh RMI suspends.
-      simrace::NodeScope race_scope(node.value());
-      if (simrace::enabled()) {
-        simrace::on_state_access(node.value(), ro_state_key(node, entity), /*is_write=*/false);
-      }
-    }
     // Degraded reads may need the raw entry even when the TTL has expired —
     // snapshot it before get_if_fresh erases a TTL-expired entry.
     const bool may_degrade =
@@ -708,12 +666,6 @@ sim::Task<std::optional<db::Row>> Runtime::read_entity_impl(net::NodeId node,
                                " failed with no usable replica entry");
     }
     if (fetched.has_value()) {
-      // SimRace: the refresh RMI completed above, so the fill is ordered
-      // after the server-side read by a message edge; no co_await follows.
-      simrace::NodeScope race_scope(node.value());
-      if (simrace::enabled()) {
-        simrace::on_state_access(node.value(), ro_state_key(node, entity), /*is_write=*/true);
-      }
       cache.fill(pk, *fetched, version, sim_.now());
       note_read(vkey, version);
     }
@@ -751,13 +703,6 @@ sim::Task<db::QueryResult> Runtime::cached_query_impl(net::NodeId node, db::Quer
     cache::QueryCache& qc = query_cache(node);
     co_await topo_.node(node).cpu->consume(cfg_.cache_access);
     if (trace) trace->add(SpanKind::kCacheRead, cfg_.cache_access);
-    {
-      // SimRace: synchronous query-cache lookup on the reading node.
-      simrace::NodeScope race_scope(node.value());
-      if (simrace::enabled()) {
-        simrace::on_state_access(node.value(), qc_state_key(node), /*is_write=*/false);
-      }
-    }
     if (auto entry = qc.get(key)) {
       note_read(key, entry->version);
       co_return db::QueryResult{entry->rows, 0};
@@ -765,18 +710,9 @@ sim::Task<db::QueryResult> Runtime::cached_query_impl(net::NodeId node, db::Quer
     // The fill's version is captured by query_at_main at the primary,
     // immediately before the query executes: the fill must never claim a
     // version newer than the data it installs (a write committing
-    // mid-flight would otherwise let stale rows masquerade as fresh), and
-    // the live version state may only be read on the primary's side.
+    // mid-flight would otherwise let stale rows masquerade as fresh).
     std::uint64_t pre_version = 0;
     db::QueryResult res = co_await query_at_main(node, q, trace, &pre_version);
-    {
-      // SimRace: fill is ordered after the main-server read by the RMI's
-      // reply message; synchronous from here to co_return.
-      simrace::NodeScope race_scope(node.value());
-      if (simrace::enabled()) {
-        simrace::on_state_access(node.value(), qc_state_key(node), /*is_write=*/true);
-      }
-    }
     qc.fill(key, res.rows, pre_version);
     note_read(key, pre_version);
     co_return res;
@@ -941,15 +877,6 @@ sim::Task<void> Runtime::propagate(const std::vector<CallContext::PendingWrite>&
   // Pre-allocate one version per touched key. Allocation is monotone across
   // concurrent transactions, so two writers sharing a query key get
   // distinct versions and the replicas' monotonic apply keeps the newest.
-  // SimRace: version allocation mutates the master consistency tracker on
-  // the main server; synchronous up to the switch below.
-  {
-    simrace::NodeScope race_scope(plan_.main_server().value());
-    if (simrace::enabled()) {
-      simrace::on_state_access(plan_.main_server().value(), "consistency:master",
-                               /*is_write=*/true);
-    }
-  }
   std::map<std::string, std::uint64_t> versions;
   for (const auto& w : writes) {
     const std::string k = version_key(w.entity, w.pk);
@@ -961,12 +888,6 @@ sim::Task<void> Runtime::propagate(const std::vector<CallContext::PendingWrite>&
   }
   auto advance_all = [&] {
     for (const auto& [k, v] : versions) consistency_.advance_to(k, v);
-    // Mirror the advance into the observed-read shadow as a sequenced
-    // effect, so its replayed observe_reads compare against the same master
-    // trajectory a sequential run would have seen at each read's timestamp.
-    sim_.sequenced([this, versions] {
-      for (const auto& [k, v] : versions) observed_.advance_to(k, v);
-    });
   };
 
   bool entity_replicated = false;
@@ -1002,12 +923,6 @@ sim::Task<void> Runtime::propagate(const std::vector<CallContext::PendingWrite>&
 cache::UpdateBatch Runtime::build_batch(const std::vector<CallContext::PendingWrite>& writes,
                                         const std::vector<db::Query>& affected,
                                         const std::map<std::string, std::uint64_t>& versions) {
-  // SimRace: batch assembly reads master DB rows next to the data. Plain
-  // function (no co_await), so the scope safely spans the whole body.
-  simrace::NodeScope race_scope(plan_.main_server().value());
-  if (simrace::enabled()) {
-    simrace::on_state_access(plan_.main_server().value(), "db:master", /*is_write=*/false);
-  }
   cache::UpdateBatch batch;
   for (const auto& w : writes) {
     // Last write wins for duplicate (entity, pk) pairs.
@@ -1187,23 +1102,13 @@ sim::Task<void> Runtime::publish_async(cache::UpdateBatch batch, TraceSink* trac
 
 sim::Task<void> Runtime::apply_batch(net::NodeId node, const cache::UpdateBatch& batch) {
   co_await topo_.node(node).cpu->consume(cfg_.apply_update);
-  // SimRace: the apply executes server-side at the replica node (inside the
-  // update RMI / topic handler, so it is message-ordered after the writer);
-  // everything below is synchronous, so one scope spans it.
-  simrace::NodeScope race_scope(node.value());
   for (const auto& e : batch.entities) {
     if (plan_.has_ro_replica(e.entity, node)) {
-      if (simrace::enabled()) {
-        simrace::on_state_access(node.value(), ro_state_key(node, e.entity), /*is_write=*/true);
-      }
       ro_cache(node, e.entity).apply_push(e.pk, e.row, e.version, sim_.now());
     }
   }
   if (plan_.has_query_cache(node)) {
     cache::QueryCache& qc = query_cache(node);
-    if (simrace::enabled() && !batch.queries.empty()) {
-      simrace::on_state_access(node.value(), qc_state_key(node), /*is_write=*/true);
-    }
     for (const auto& q : batch.queries) {
       if (q.invalidate_only) {
         qc.invalidate(q.cache_key);

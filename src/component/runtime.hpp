@@ -220,13 +220,9 @@ class Runtime {
   [[nodiscard]] net::Topology& topology() { return topo_; }
   [[nodiscard]] net::RmiTransport& rmi() { return rmi_; }
   [[nodiscard]] db::Database& database() { return db_; }
-  /// Read-staleness accounting (reads/stale_reads/version lag). This is the
-  /// *observed* tracker: it receives every observe_read and advance_to as a
-  /// sequenced effect, so under parallel lookahead domains the stats are
-  /// replayed in deterministic timestamp order at window barriers and match
-  /// a sequential run exactly. The live master-version tracker backing
-  /// allocate/advance/master_version stays private (main-domain state).
-  [[nodiscard]] cache::ConsistencyTracker& consistency() { return observed_; }
+  /// Read-staleness accounting (reads/stale_reads/version lag) over the
+  /// master-version tracker that every replica read is checked against.
+  [[nodiscard]] cache::ConsistencyTracker& consistency() { return consistency_; }
   [[nodiscard]] LockManager& locks() { return locks_; }
   [[nodiscard]] StubCache& stubs() { return stubs_; }
 
@@ -281,24 +277,8 @@ class Runtime {
   };
   using InteractionProfile = std::map<std::pair<std::string, std::string>, InteractionStat>;
 
-  /// Merged view over the per-domain profile slabs (map-ordered, so the
-  /// merge is deterministic regardless of how domains interleaved).
-  [[nodiscard]] const InteractionProfile& interaction_profile() const {
-    merged_profile_.clear();
-    for (const auto& slab : profiles_) {
-      for (const auto& [key, s] : slab) {
-        auto& m = merged_profile_[key];
-        m.calls += s.calls;
-        m.writes += s.writes;
-        m.bytes += s.bytes;
-      }
-    }
-    return merged_profile_;
-  }
-  void reset_interaction_profile() {
-    for (auto& slab : profiles_) slab.clear();
-    merged_profile_.clear();
-  }
+  [[nodiscard]] const InteractionProfile& interaction_profile() const { return profile_; }
+  void reset_interaction_profile() { profile_.clear(); }
 
   [[nodiscard]] std::uint64_t blocking_pushes() const { return blocking_pushes_; }
   [[nodiscard]] std::uint64_t failed_pushes() const { return failed_pushes_; }
@@ -474,10 +454,7 @@ class Runtime {
 
   void record_interaction(const std::string& caller, const std::string& callee, net::Bytes bytes,
                           bool is_write = false) {
-    // One slab per lookahead domain: each domain's worker only touches its
-    // own map. .at() catches the misuse of enabling domains after
-    // construction (the slabs are sized from sim_.domain_count() then).
-    auto& stat = profiles_.at(sim_.current_domain())[{caller, callee}];
+    auto& stat = profile_[{caller, callee}];
     ++stat.calls;
     if (is_write) ++stat.writes;
     stat.bytes += bytes;
@@ -500,8 +477,7 @@ class Runtime {
   /// When `pre_version` is non-null, the master version of the query's
   /// cache key is captured *at the primary*, immediately before the query
   /// executes — the latest instant that still cannot claim a version newer
-  /// than the data read (and, under parallel domains, the only side of the
-  /// call where the live version state may be read).
+  /// than the data read.
   [[nodiscard]] sim::Task<db::QueryResult> query_at_main(net::NodeId from, db::Query q,
                                                          TraceSink* trace,
                                                          std::uint64_t* pre_version = nullptr);
@@ -578,12 +554,9 @@ class Runtime {
 
   LockManager locks_;
   StubCache stubs_;
-  /// Live master-version state (allocate / advance_to / master_version).
-  /// Only ever touched from the main server's lookahead domain.
+  /// Master versions (allocate / advance_to / master_version) plus the
+  /// read-staleness stats of every replica read.
   cache::ConsistencyTracker consistency_;
-  /// Observed-read shadow: fed observe_read + advance_to through
-  /// sim_.sequenced(), replayed in stamp order — see consistency().
-  cache::ConsistencyTracker observed_;
   std::map<std::string, std::string> entity_tables_;
   std::map<std::pair<net::NodeId, std::string>, std::unique_ptr<cache::ReadOnlyCache>> ro_caches_;
   std::map<net::NodeId, std::unique_ptr<cache::QueryCache>> query_caches_;
@@ -593,10 +566,7 @@ class Runtime {
   std::vector<std::unique_ptr<msg::Topic<cache::UpdateBatch>>> topics_;
   std::unique_ptr<msg::Coalescer<cache::UpdateBatch>> coalescer_;
   std::map<net::NodeId, std::unique_ptr<msg::Topic<QueuedWrite>>> write_queues_;
-  /// Interaction-profile slabs, one per lookahead domain (index 0 when
-  /// domains are off); merged on demand into merged_profile_.
-  std::vector<InteractionProfile> profiles_;
-  mutable InteractionProfile merged_profile_;
+  InteractionProfile profile_;
   std::map<net::NodeId, stats::MetricsRegistry> metrics_;
 
   // Runtime placement (DESIGN §17). All null/empty unless the experiment
@@ -609,11 +579,6 @@ class Runtime {
   std::uint64_t forwarded_calls_ = 0;
   std::uint64_t late_stragglers_ = 0;
 
-  // Domain discipline for the plain counters below: the push/publish ones
-  // are only written from the main server's domain; the degradation ones
-  // only move under resilience/fault configs, which the experiment refuses
-  // to combine with parallel domains. Reads from staged closures happen at
-  // window barriers, ordered after all worker writes by the pool's barrier.
   std::uint64_t blocking_pushes_ = 0;
   std::uint64_t failed_pushes_ = 0;
   std::uint64_t async_publishes_ = 0;

@@ -2,13 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
-
-#include "core/sweep.hpp"
-#include "sim/simcheck.hpp"
-#include "sim/simrace.hpp"
 
 namespace mutsvc::core {
 
@@ -29,17 +24,10 @@ comp::RuntimeConfig runtime_config_for(const HarnessCalibration& cal,
   return cfg;
 }
 
-/// MUTSVC_PAR_DOMAINS: worker count for the windowed parallel executor.
-/// Host configuration, not simulation state; anything unparsable means 0
-/// (the classic sequential loop).
-int env_par_domains() {
-  const char* env = std::getenv("MUTSVC_PAR_DOMAINS");
-  if (env == nullptr || *env == '\0') return 0;
-  char* end = nullptr;
-  const long v = std::strtol(env, &end, 10);
-  if (end == env || *end != '\0' || v < 0) return 0;
-  return static_cast<int>(v);
-}
+constexpr const char* kObserverClash =
+    "Experiment: enable_metrics and set_response_observer both install the response "
+    "collector's single observer hook; the second call would silently disable the first, "
+    "so call only one of them";
 }  // namespace
 
 Experiment::Experiment(const apps::AppDriver& driver, ExperimentSpec spec,
@@ -62,10 +50,10 @@ Experiment::Experiment(const apps::AppDriver& driver, ExperimentSpec spec,
   comp::DeploymentPlan plan = spec_.custom_plan
                                   ? spec_.custom_plan(nodes_)
                                   : build_plan(*driver_.app, *driver_.meta, nodes_, spec_.level);
-  // Before the Runtime exists: domain tagging (and the windowed mode) must
-  // see an empty event heap, and the Runtime's construction-time spawns
-  // (update coalescer) land in the tagged main domain.
-  setup_parallel_domains(plan);
+  // Before the Runtime exists: domain tagging must see an empty event heap,
+  // and the Runtime's construction-time spawns (update coalescer) land in
+  // the tagged main domain.
+  setup_domains(plan);
   runtime_ = std::make_unique<comp::Runtime>(sim_, topo_, net_, rmi_, *db_, *driver_.app,
                                              std::move(plan), runtime_config_for(cal_, spec_));
   driver_.bind_entities(*runtime_);
@@ -83,16 +71,6 @@ Experiment::Experiment(const apps::AppDriver& driver, ExperimentSpec spec,
                                                                 *migrator_, spec_.placement);
     }
   }
-  // Freeze the lazily-created per-server thread pools before traffic flows:
-  // entry handlers on different islands would otherwise race to create map
-  // entries. Creation costs no simulated time, so sequential runs are
-  // unchanged.
-  (void)thread_pool(nodes_.main_server);
-  for (net::NodeId s : runtime_->plan().edge_servers()) (void)thread_pool(s);
-  (void)thread_pool(runtime_->plan().entry_point(nodes_.local_clients));
-  for (net::NodeId c : nodes_.remote_clients) {
-    (void)thread_pool(runtime_->plan().entry_point(c));
-  }
   if (spec_.flow.enabled && spec_.flow.wan_rate_bps > 0.0) {
     net_.set_wan_rate_limit(spec_.flow.wan_rate_bps, spec_.flow.wan_burst_bytes);
   }
@@ -103,30 +81,17 @@ Experiment::Experiment(const apps::AppDriver& driver, ExperimentSpec spec,
     net_.set_fault_injector(faults_.get());
     faults_->arm();
   }
-  if (simrace::enabled()) {
-    // SimRace: hand the analyzer the lookahead-domain partition (LAN
-    // islands; WAN links are the parallelization boundaries) and the node
-    // names used in findings.
-    std::vector<std::string> names;
-    names.reserve(topo_.node_count());
-    for (std::uint32_t i = 0; i < topo_.node_count(); ++i) {
-      names.push_back(topo_.node(net::NodeId{i}).name);
-    }
-    simrace::configure(topo_.lookahead_domains(net_.wan_threshold()), std::move(names));
-  }
 }
 
-void Experiment::setup_parallel_domains(const comp::DeploymentPlan& plan) {
-  const sim::Duration threshold = net_.wan_threshold();
-  std::vector<std::uint32_t> groups = topo_.lookahead_domains(threshold);
+void Experiment::setup_domains(const comp::DeploymentPlan& plan) {
+  std::vector<std::uint32_t> groups = topo_.lookahead_domains(net_.wan_threshold());
 
   if (plan.update_mode() == comp::UpdateMode::kAsyncPush) {
     // Asynchronous updates couple the publisher with every subscriber: the
     // topics' drain tasks touch provider-side queue state from the
-    // subscriber's side of a delivery, so all coupled islands must execute
-    // as one domain. Merging only removes cross-domain links, so the
-    // certified window stays conservative. (Blocking push needs no merge —
-    // each push is an ordinary RMI whose server work runs at the edge.)
+    // subscriber's side of a delivery, so all coupled islands are one
+    // domain. (Blocking push needs no merge — each push is an ordinary RMI
+    // whose server work runs at the edge.)
     const std::uint32_t main_group = groups[plan.main_server().value()];
     std::vector<char> to_main(groups.size(), 0);  // indexed by group id (< node count)
     to_main[main_group] = 1;
@@ -151,82 +116,10 @@ void Experiment::setup_parallel_domains(const comp::DeploymentPlan& plan) {
     throw std::invalid_argument("Experiment: more than 256 lookahead domains");
   }
 
-  const int requested =
-      spec_.parallel_domains >= 0 ? spec_.parallel_domains : env_par_domains();
-  par_workers_ = requested > 0 ? static_cast<std::size_t>(requested) : 0;
-  if (par_workers_ > 0) {
-    // Features whose state crosses domains outside the windowed protocol
-    // cannot parallelize. An explicit spec request fails loudly; an
-    // env-derived one quietly falls back to the sequential tagged loop
-    // (MUTSVC_PAR_DOMAINS is a fleet-wide knob — e.g. a CI matrix row
-    // running every test — and the sequential loop is bit-identical, so
-    // the fallback only costs the speedup).
-    const char* blocked = nullptr;
-    if (!spec_.fault_plan.empty()) {
-      blocked = "fault injection (shared fault RNG streams and cross-domain link flaps)";
-    } else if (spec_.resilience.enabled) {
-      blocked = "the resilience policy (per-callee breakers are shared across caller domains)";
-    } else if (spec_.flow.enabled && spec_.flow.admission_rate > 0.0) {
-      blocked = "admission control (entry buckets are created on first use)";
-    } else if (cal_.http.keep_alive) {
-      blocked = "HTTP keep-alive (connection reuse state spans client domains)";
-    } else if (spec_.placement.enabled) {
-      blocked = "runtime placement (bindings, quiesce gates and cache state migrate across "
-                "domains)";
-    }
-    if (blocked != nullptr) {
-      if (spec_.parallel_domains >= 1) {
-        throw std::invalid_argument(
-            std::string("Experiment: MUTSVC_PAR_DOMAINS is incompatible with ") + blocked +
-            "; run this configuration with parallel_domains = 0");
-      }
-      par_workers_ = 0;
-    }
-  }
-  if (par_workers_ > 0) {
-    // The window width is the certified lookahead: the narrowest link that
-    // crosses a domain in the final (merged) partition. By construction of
-    // lookahead_domains() every crossing link carries at least the WAN
-    // threshold of latency; re-verify that here against the topology as
-    // built, so a mis-calibrated threshold or a hand-edited link fails
-    // loudly at startup instead of corrupting a run (satellite of
-    // LOOKAHEAD_cert.json: declared wan_threshold <= min observed crossing
-    // latency).
-    sim::Duration window = threshold;
-    bool has_crossing = false;
-    for (const net::Link* l : topo_.all_links()) {
-      if (node_domains_[l->from.value()] == node_domains_[l->to.value()]) continue;
-      if (l->latency < threshold) {
-        throw std::invalid_argument(
-            "Experiment: lookahead certificate violated: link " + topo_.node(l->from).name +
-            " -> " + topo_.node(l->to).name + " crosses a lookahead domain with latency " +
-            std::to_string(l->latency.as_millis()) + " ms < the declared WAN threshold " +
-            std::to_string(threshold.as_millis()) +
-            " ms (see LOOKAHEAD_cert.json). Lower the WAN threshold or keep the link "
-            "inside one island.");
-      }
-      window = has_crossing ? std::min(window, l->latency) : l->latency;
-      has_crossing = true;
-    }
-    // Instrumented runs serialize: SimCheck/SimRace keep thread-local
-    // registries, and a trial already on an across-trial sweep worker must
-    // not spawn a nested pool. The clamp never changes results — windowed
-    // output is worker-count invariant by construction.
-    if (simcheck::enabled() || simrace::enabled() || sweep::inside_worker()) {
-      par_workers_ = 1;
-    }
-    sim_.enable_windowed(domain_count, window);
-  } else {
-    // Tagging is on even for sequential runs, so the (time, owner, seq)
-    // event order — and therefore every result bit — is shared by the
-    // sequential loop and the windowed executor at any worker count.
-    sim_.enable_domains(domain_count);
-  }
+  sim_.enable_domains(domain_count);
   net_.set_domains(node_domains_);
-  // Per-caller-node RMI streams: a node's stream is drawn only while that
-  // node's events execute, i.e. from its own domain. Forks are pure
-  // functions of (root seed, name), so sequential and parallel runs see
-  // identical streams.
+  // Per-caller-node RMI streams (forks are pure functions of the root seed
+  // and the name); the goldens are recorded with them.
   rmi_.partition_streams(topo_.node_count());
 }
 
@@ -257,11 +150,11 @@ sim::Task<workload::RequestOutcome> Experiment::execute(net::NodeId client_node,
                .first;
     }
     if (!it->second.try_acquire(sim_.now())) {
-      rejected_admission_.fetch_add(1, std::memory_order_relaxed);
+      ++rejected_admission_;
       co_return workload::RequestOutcome::kRejected;
     }
   }
-  admitted_.fetch_add(1, std::memory_order_relaxed);
+  ++admitted_;
   if (spec_.placement.enabled) {
     // The controller's load signal: pages entering at this server. A plain
     // registry counter — no events, so enabling placement without a policy
@@ -286,14 +179,14 @@ sim::Task<workload::RequestOutcome> Experiment::execute(net::NodeId client_node,
       // after a connect timeout.
       co_await sim_.wait(spec_.failover_timeout);
       if (!spec_.failover_enabled || server == nodes_.main_server) {
-        dropped_.fetch_add(1, std::memory_order_relaxed);
+        ++dropped_;
         co_return workload::RequestOutcome::kFailed;
       }
       // §1: "client requests can utilize several entry points into the
       // service" — fall back to the main server. Switching entry points does
       // not consume the retry budget, so transient faults on the fallback
       // path still get the policy's whole-page retries.
-      failovers_.fetch_add(1, std::memory_order_relaxed);
+      ++failovers_;
       server = nodes_.main_server;
       continue;
     }
@@ -301,7 +194,7 @@ sim::Task<workload::RequestOutcome> Experiment::execute(net::NodeId client_node,
     // Transient failure: the browser retries the whole page (when the
     // resilience policy allows) after a short pause.
     if (attempt >= max_page_retries) {
-      dropped_.fetch_add(1, std::memory_order_relaxed);
+      ++dropped_;
       co_return workload::RequestOutcome::kFailed;
     }
     ++attempt;
@@ -351,16 +244,18 @@ sim::Task<void> Experiment::execute_traced(net::NodeId client_node,
 }
 
 void Experiment::enable_metrics(sim::Duration window) {
-  if (par_workers_ > 0) {
-    throw std::invalid_argument(
-        "Experiment: enable_metrics is incompatible with MUTSVC_PAR_DOMAINS (the "
-        "sampler reads every node's gauges from one domain and the transports "
-        "mirror counters into shared registries); run with parallel_domains = 0");
-  }
+  if (response_observer_set_) throw std::logic_error(kObserverClash);
+  metrics_enabled_ = true;
   metrics_window_ = window;
   runtime_->enable_transport_metrics();
   stats::Histogram& h = runtime_->metrics(nodes_.main_server).histogram("response_ms");
   collector_.set_observer([&h](double ms) { h.observe(ms); });
+}
+
+void Experiment::set_response_observer(std::function<void(double)> obs) {
+  if (metrics_enabled_) throw std::logic_error(kObserverClash);
+  response_observer_set_ = true;
+  collector_.set_observer(std::move(obs));
 }
 
 sim::Task<void> Experiment::metrics_sampler(sim::SimTime end) {
@@ -405,8 +300,7 @@ void Experiment::start_coroutine_load(sim::SimTime end) {
 
   // Each client group is spawned under its own island's domain, so the
   // whole client lifecycle (think-time timers included) executes where the
-  // clients live — sequentially this only relabels event owners, identically
-  // for the classic loop and the windowed executor.
+  // clients live — this only relabels event owners.
   {
     sim::Simulator::DomainScope in_domain(sim_, domain_of(nodes_.local_clients));
     start_group(nodes_.local_clients, stats::ClientGroup::kLocal, "local");
@@ -524,11 +418,7 @@ void Experiment::run() {
     });
   }
 
-  if (par_workers_ > 0) {
-    sim_.run_windows_until(end, par_workers_);
-  } else {
-    sim_.run_until(end);
-  }
+  sim_.run_until(end);
 }
 
 }  // namespace mutsvc::core

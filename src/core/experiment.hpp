@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -127,18 +126,6 @@ struct ExperimentSpec {
   /// binding table but spawns no controller (still byte-identical,
   /// golden-enforced).
   comp::PlacementConfig placement;
-
-  /// Conservative parallel execution of this single trial (DESIGN §15):
-  /// the testbed's LAN islands become lookahead domains that execute in
-  /// lock-step windows one certified WAN latency wide. -1 (default) reads
-  /// the MUTSVC_PAR_DOMAINS environment variable; 0 keeps the classic
-  /// sequential event loop; >= 1 runs the windowed executor with that many
-  /// worker threads. Results are bit-identical at every worker count
-  /// (including the windowed 1-worker run), so the setting is purely a
-  /// wall-clock knob. Incompatible features (fault injection, resilience,
-  /// admission control, keep-alive, live metrics) are refused with a
-  /// diagnostic rather than silently degraded.
-  int parallel_domains = -1;
 };
 
 /// One full testbed run: Figure 2 topology + application + configuration
@@ -163,7 +150,9 @@ class Experiment final : public workload::RequestExecutor {
   /// are sampled every `window`, and post-warm-up response times feed a
   /// fixed-bucket latency histogram ("response_ms") on the main server's
   /// registry. Off by default — enabling adds only read-only sampling, so
-  /// the simulated trajectory is unchanged.
+  /// the simulated trajectory is unchanged. The histogram takes the
+  /// collector's single observer hook, so combining this with
+  /// set_response_observer throws std::logic_error (in either order).
   void enable_metrics(sim::Duration window);
   [[nodiscard]] stats::MetricsRegistry& metrics(net::NodeId node) {
     return runtime_->metrics(node);
@@ -197,22 +186,12 @@ class Experiment final : public workload::RequestExecutor {
   [[nodiscard]] sim::Task<workload::RequestOutcome> execute(
       net::NodeId client_node, const workload::PageRequest& request) override;
 
-  [[nodiscard]] std::uint64_t failovers() const {
-    return failovers_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t dropped_requests() const {
-    return dropped_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t failovers() const { return failovers_; }
+  [[nodiscard]] std::uint64_t dropped_requests() const { return dropped_; }
 
-  /// Worker threads the windowed parallel executor will use for run()
-  /// (0 = the classic sequential loop). Resolved from spec.parallel_domains
-  /// / MUTSVC_PAR_DOMAINS at construction, then clamped to 1 under
-  /// SimCheck, SimRace, or an across-trial sweep worker — the clamp never
-  /// changes results, only the thread count.
-  [[nodiscard]] std::size_t parallel_workers() const { return par_workers_; }
   /// Lookahead domain a node executes in (after the async-update coupling
-  /// merge; always installed, so sequential and parallel runs share one
-  /// event order).
+  /// merge). Always installed: the domain-tagged event order is the one the
+  /// ladder goldens were recorded in.
   [[nodiscard]] sim::Simulator::DomainId domain_of(net::NodeId n) const {
     return node_domains_[n.value()];
   }
@@ -226,19 +205,14 @@ class Experiment final : public workload::RequestExecutor {
   [[nodiscard]] std::uint64_t pages_started() const {
     return requests_admitted() + rejected_admission();
   }
-  [[nodiscard]] std::uint64_t requests_admitted() const {
-    return admitted_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t rejected_admission() const {
-    return rejected_admission_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t requests_admitted() const { return admitted_; }
+  [[nodiscard]] std::uint64_t rejected_admission() const { return rejected_admission_; }
 
   /// Lets a bench observe every post-warm-up response sample (milliseconds)
   /// without enabling the full metrics pipeline. Mutually exclusive with
-  /// enable_metrics (both install the collector's single observer hook).
-  void set_response_observer(std::function<void(double)> obs) {
-    collector_.set_observer(std::move(obs));
-  }
+  /// enable_metrics (both install the collector's single observer hook):
+  /// combining them throws std::logic_error, in either order.
+  void set_response_observer(std::function<void(double)> obs);
 
   /// Page requests the active driver issued, counted at issue time (the
   /// documented end-of-run rule: nothing issues at or after end_at, and a
@@ -293,12 +267,12 @@ class Experiment final : public workload::RequestExecutor {
                                                comp::TraceSink& sink);
 
  private:
-  /// Resolves the parallel-domain configuration, merges async-update-coupled
-  /// islands into one domain, validates the topology against the lookahead
-  /// window (the LOOKAHEAD_cert.json contract) and installs domain tagging
-  /// (or the windowed mode) on the kernel. Must run before any component
-  /// schedules an event, so it is called before the Runtime is built.
-  void setup_parallel_domains(const comp::DeploymentPlan& plan);
+  /// Partitions the testbed into lookahead domains (LAN islands, with
+  /// async-update-coupled islands merged into the main one) and installs
+  /// domain tagging on the kernel, the network and the RMI streams. Must
+  /// run before any component schedules an event, so it is called before
+  /// the Runtime is built.
+  void setup_domains(const comp::DeploymentPlan& plan);
 
   /// Builds the per-group coroutine load (the paper's driver) for run().
   void start_coroutine_load(sim::SimTime end);
@@ -345,13 +319,14 @@ class Experiment final : public workload::RequestExecutor {
   /// Node → lookahead domain after the coupling merge; installed on the
   /// kernel and the network at construction.
   std::vector<sim::Simulator::DomainId> node_domains_;
-  std::size_t par_workers_ = 0;  // 0 = classic sequential event loop
-  // Commutative request-accounting sums bumped from client-island domains;
-  // relaxed atomics keep the totals exact under the parallel executor.
-  std::atomic<std::uint64_t> failovers_{0};
-  std::atomic<std::uint64_t> dropped_{0};
-  std::atomic<std::uint64_t> admitted_{0};
-  std::atomic<std::uint64_t> rejected_admission_{0};
+  std::uint64_t failovers_ = 0;
+  std::uint64_t dropped_ = 0;
+  std::uint64_t admitted_ = 0;
+  std::uint64_t rejected_admission_ = 0;
+  /// Which call installed the collector's observer hook (enable_metrics or
+  /// set_response_observer); the other one is then refused.
+  bool metrics_enabled_ = false;
+  bool response_observer_set_ = false;
   sim::Duration metrics_window_ = sim::Duration::zero();
   std::uint64_t trace_counter_ = 0;
 };

@@ -6,17 +6,8 @@
 #include <thread>
 
 #include "sim/simcheck.hpp"
-#include "sim/simrace.hpp"
 
 namespace mutsvc::core::sweep {
-
-namespace {
-// Host-thread identity, not simulation state: thread_local gives every
-// sweep worker its own flag, so trials cannot observe each other through it.
-thread_local bool t_inside_worker = false;  // simlint:allow(global-mutable)
-}  // namespace
-
-bool inside_worker() { return t_inside_worker; }
 
 std::size_t configured_jobs() {
   // Host introspection for a worker-pool size, not simulation state.
@@ -42,7 +33,6 @@ void run_indexed(std::size_t n, const std::function<void(std::size_t)>& body,
     // trial behaves identically whichever worker (or the inline path) runs
     // it. Hard violations still throw and are captured like any failure.
     simcheck::reset();
-    simrace::reset();
     try {
       body(i);
     } catch (...) {
@@ -63,7 +53,6 @@ void run_indexed(std::size_t n, const std::function<void(std::size_t)>& body,
     pool.reserve(workers);
     for (std::size_t w = 0; w < workers; ++w) {
       pool.emplace_back([&] {
-        t_inside_worker = true;
         for (;;) {
           const std::size_t i = next.fetch_add(1);
           if (i >= n) return;

@@ -25,14 +25,6 @@ namespace mutsvc::core::sweep {
 void run_indexed(std::size_t n, const std::function<void(std::size_t)>& body,
                  std::size_t jobs = 0);
 
-/// True on a run_indexed worker thread. Within-trial parallelism (the
-/// windowed lookahead-domain executor, MUTSVC_PAR_DOMAINS) consults this to
-/// clamp itself to one worker when the trial already runs on an
-/// across-trial worker — the two levels compose without oversubscribing the
-/// host, and a clamped windowed run is bit-identical at any worker count by
-/// construction, so composition never changes results.
-[[nodiscard]] bool inside_worker();
-
 /// Runs every trial callable and returns their results merged in submission
 /// order (index-addressed slots — identical to a serial loop at any job
 /// count). `T` must be default-constructible and move-assignable.

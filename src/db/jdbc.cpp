@@ -1,7 +1,5 @@
 #include "db/jdbc.hpp"
 
-#include <stdexcept>
-
 #include "sim/future.hpp"
 
 namespace mutsvc::db {
@@ -16,18 +14,6 @@ sim::Task<QueryResult> JdbcClient::execute(Query q) {
   // query round trip, slice of the service demand, and slice of the result
   // traffic — all legs in flight concurrently, joined in shard order.
   ++cross_shard_statements_;
-  // The scatter's logical execution reads the data tier synchronously in
-  // the calling context, so under the windowed parallel executor it is only
-  // legal from the data tier's own lookahead domain (the main island). A
-  // deterministic configuration check, never a scheduling race — scans are
-  // issued at the main server on every ladder rung.
-  if (net_.simulator().windowed() &&
-      net_.simulator().current_domain() != net_.domain_of(db_.shard_node(0))) {
-    throw std::logic_error(
-        "JdbcClient: cross-shard scatter from a foreign lookahead domain is not "
-        "supported under MUTSVC_PAR_DOMAINS; route scan-class statements through "
-        "the main server");
-  }
   QueryResult res = db_.execute_immediate(q);
   std::vector<Database::ShardSlice> slices = db_.partition_result(res);
   std::vector<sim::Task<void>> legs;

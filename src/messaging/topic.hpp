@@ -10,7 +10,6 @@
 #include "net/flowcontrol.hpp"
 #include "net/network.hpp"
 #include "net/types.hpp"
-#include "sim/simrace.hpp"
 #include "sim/task.hpp"
 #include "stats/trace.hpp"
 
@@ -96,12 +95,6 @@ class Topic {
       }
     }
     ++published_;
-    // SimRace: everything below is synchronous (spawn is not a suspension
-    // point) and mutates the provider-side queues — provider-owned state.
-    simrace::NodeScope race_scope(provider_.value());
-    if (simrace::enabled()) {
-      simrace::on_state_access(provider_.value(), "topic:" + name_, /*is_write=*/true);
-    }
     auto shared = std::make_shared<const T>(std::move(message));
     for (auto& sub : subscribers_) {
       ++sub->expected;
@@ -231,16 +224,8 @@ class Topic {
         continue;
       }
       Pending p = std::move(sub.queue.front());
-      {
-        // SimRace: the pop + credit update are a synchronous provider-side
-        // section; the scope must not span the co_awaits below.
-        simrace::NodeScope race_scope(provider_.value());
-        if (simrace::enabled()) {
-          simrace::on_state_access(provider_.value(), "topic:" + name_, /*is_write=*/true);
-        }
-        sub.queue.pop_front();
-        update_credit();
-      }
+      sub.queue.pop_front();
+      update_credit();
       co_await net_.simulator().wait(mdb_dispatch_);  // onMessage dispatch
       co_await sub.handler(*p.message);
       ++sub.delivered;

@@ -7,7 +7,7 @@ namespace mutsvc::net {
 sim::Task<void> HttpTransport::request(NodeId client, NodeId server, Bytes request_body,
                                        std::function<sim::Task<Bytes>()> handler,
                                        stats::TraceSink* trace) {
-  requests_.fetch_add(1, std::memory_order_relaxed);
+  ++requests_;
   const sim::SimTime t0 = net_.simulator().now();
   const std::uint32_t span =
       trace == nullptr ? 0
@@ -26,7 +26,7 @@ sim::Task<void> HttpTransport::request(NodeId client, NodeId server, Bytes reque
       }
     }
     if (need_handshake && client != server) {
-      handshakes_.fetch_add(1, std::memory_order_relaxed);
+      ++handshakes_;
       co_await net_.deliver(client, server, cfg_.handshake_bytes);  // SYN
       co_await net_.deliver(server, client, cfg_.handshake_bytes);  // SYN-ACK
     }

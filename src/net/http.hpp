@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <set>
@@ -44,18 +43,16 @@ class HttpTransport {
                                         stats::TraceSink* trace = nullptr);
 
   [[nodiscard]] const HttpConfig& config() const { return cfg_; }
-  [[nodiscard]] std::uint64_t requests() const { return requests_.load(std::memory_order_relaxed); }
-  [[nodiscard]] std::uint64_t handshakes() const { return handshakes_.load(std::memory_order_relaxed); }
+  [[nodiscard]] std::uint64_t requests() const { return requests_; }
+  [[nodiscard]] std::uint64_t handshakes() const { return handshakes_; }
 
  private:
   Network& net_;
   HttpConfig cfg_;
-  // Keep-alive connection pool: mutated per request, so keep-alive is
-  // refused under parallel domains (it was unused by the paper, §4.1).
+  // Keep-alive connection pool (unused by the paper, §4.1).
   std::set<std::pair<NodeId, NodeId>> pooled_;
-  // Commutative sums in relaxed atomics — safe from any lookahead domain.
-  std::atomic<std::uint64_t> requests_{0};
-  std::atomic<std::uint64_t> handshakes_{0};
+  std::uint64_t requests_ = 0;
+  std::uint64_t handshakes_ = 0;
 };
 
 }  // namespace mutsvc::net

@@ -1,36 +1,25 @@
 #include "net/network.hpp"
 
 #include "net/faults.hpp"
-#include "sim/simrace.hpp"
 
 namespace mutsvc::net {
 
 sim::Task<void> Network::deliver(NodeId from, NodeId to, Bytes size) {
   if (from == to) {  // loopback is free (and lossless: no link traversed)
-    messages_.fetch_add(1, std::memory_order_relaxed);
-    bytes_.fetch_add(size, std::memory_order_relaxed);
+    ++messages_;
+    bytes_ += size;
     co_return;
   }
   // Resolve the route before touching any counter: a send with no live
   // route (NoRouteError) never put a byte on the wire.
   std::vector<Link*> route = topo_.path(from, to);
-  messages_.fetch_add(1, std::memory_order_relaxed);
-  bytes_.fetch_add(size, std::memory_order_relaxed);
-
-  // SimRace: every delivery is a happens-before edge from the sender's
-  // domain to the receiver's. The clock snapshot is taken at send time; a
-  // lost message destroys its token and creates no edge. Probes only read
-  // the clock — no events scheduled, no randomness drawn — so an analyzed
-  // run is bit-identical to a plain one.
-  const bool race_on = simrace::enabled();
-  simrace::MessageToken race_token;
-  if (race_on) race_token = simrace::on_send(from.value());
+  ++messages_;
+  bytes_ += size;
 
   bool crossed_wan = false;
   for (Link* link : route) {
     const bool is_wan = link->latency >= wan_threshold_;
     if (is_wan) crossed_wan = true;
-    const sim::SimTime hop_entered = sim_.now();
     // WAN shaping (flow control §3): hold the message at the link ingress
     // until its bytes conform to the configured rate. The shaper commits
     // state up front, so concurrent senders serialize deterministically;
@@ -38,8 +27,8 @@ sim::Task<void> Network::deliver(NodeId from, NodeId to, Bytes size) {
     if (wan_rate_bps_ > 0.0 && is_wan) {
       const sim::Duration hold = wan_limiter(*link).reserve(sim_.now(), size);
       if (hold > sim::Duration::zero()) {
-        wan_throttled_.fetch_add(1, std::memory_order_relaxed);
-        wan_throttle_micros_.fetch_add(hold.count_micros(), std::memory_order_relaxed);
+        ++wan_throttled_;
+        wan_throttle_micros_ += hold.count_micros();
         co_await sim_.wait(hold);
       }
     }
@@ -51,49 +40,30 @@ sim::Task<void> Network::deliver(NodeId from, NodeId to, Bytes size) {
     sim::Duration hop_latency = link->latency + per_hop_overhead_;
     if (faults_ != nullptr) hop_latency += faults_->jitter(*link);
     // The propagation wait carries the delivery into the destination
-    // node's lookahead domain (DESIGN §15). A cross-domain hop is staged
-    // at the window barrier; a same-domain hop is a plain local wait.
+    // node's lookahead domain (DESIGN §15): the events it schedules on
+    // arrival are owned by that domain.
     if (!domain_of_node_.empty()) {
       co_await sim_.wait_in(domain_of_node_[link->to.value()], hop_latency);
     } else {
       co_await sim_.wait(hop_latency);
     }
     if (lost) {
-      messages_lost_.fetch_add(1, std::memory_order_relaxed);
-      bytes_lost_.fetch_add(size, std::memory_order_relaxed);
+      ++messages_lost_;
+      bytes_lost_ += size;
       throw DeliveryError("Network::deliver: message lost on link " +
                           topo_.node(link->from).name + "->" + topo_.node(link->to).name);
     }
-    // SimRace lookahead certificate: observed event-crossing time of this
-    // WAN hop, ingress (before shaping/serialization) to last byte out.
-    // Lost messages delivered nothing, so they are excluded above.
-    if (race_on && is_wan) {
-      simrace::on_link_crossing(link->from.value(), link->to.value(),
-                                link->latency.count_micros(),
-                                (sim_.now() - hop_entered).count_micros());
-    }
   }
-  if (race_on) simrace::on_delivered(race_token, to.value());
   if (crossed_wan) {
-    wan_messages_.fetch_add(1, std::memory_order_relaxed);
-    wan_bytes_.fetch_add(size, std::memory_order_relaxed);
+    ++wan_messages_;
+    wan_bytes_ += size;
   }
 }
 
 void Network::set_wan_rate_limit(double rate_bps, Bytes burst_bytes) {
   wan_rate_bps_ = rate_bps;
   wan_burst_bytes_ = burst_bytes;
-  // Pre-create a limiter for every WAN link so the map never mutates once
-  // traffic flows; a parallel-domain run touches each limiter from its own
-  // link's source domain only, and map lookups are then read-only.
   wan_limiters_.clear();
-  if (rate_bps <= 0.0) return;
-  for (Link* link : topo_.all_links()) {
-    if (link->latency >= wan_threshold_) {
-      wan_limiters_.emplace(std::make_pair(link->from.value(), link->to.value()),
-                            RateLimiter{wan_rate_bps_, wan_burst_bytes_});
-    }
-  }
 }
 
 RateLimiter& Network::wan_limiter(const Link& link) {

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <utility>
@@ -50,31 +49,23 @@ class Network {
 
   /// Installs the node→lookahead-domain map (DESIGN §15). Once set, every
   /// hop's propagation wait resumes the delivery in the destination node's
-  /// domain (`wait_in`), which is the ONLY way an event crosses a domain
-  /// boundary — exactly the SimRace message-edge discipline, now enforced
-  /// by the kernel. Same-domain hops degenerate to a local wait.
+  /// domain (`wait_in`), which is how an event's owner moves from one
+  /// island to another. Same-domain hops degenerate to a local wait.
   void set_domains(std::vector<sim::Simulator::DomainId> domain_of_node) {
     domain_of_node_ = std::move(domain_of_node);
-  }
-
-  /// Lookahead domain a node executes in (0 when domains are not installed).
-  [[nodiscard]] sim::Simulator::DomainId domain_of(NodeId n) const {
-    return domain_of_node_.empty() ? 0 : domain_of_node_[n.value()];
   }
 
   // --- accounting ---------------------------------------------------------
   // A message counts as "sent" only once a live route was resolved (a send
   // that throws NoRouteError generated no traffic). Lost messages DID
   // occupy the wire up to the losing hop, so they stay in messages_sent and
-  // are additionally counted in messages_lost. Counters are commutative
-  // sums held in relaxed atomics so parallel-domain trials read/write them
-  // without an order dependency — totals are identical either way.
-  [[nodiscard]] std::uint64_t messages_sent() const { return messages_.load(std::memory_order_relaxed); }
-  [[nodiscard]] std::uint64_t wan_messages_sent() const { return wan_messages_.load(std::memory_order_relaxed); }
-  [[nodiscard]] Bytes bytes_sent() const { return bytes_.load(std::memory_order_relaxed); }
-  [[nodiscard]] Bytes wan_bytes_sent() const { return wan_bytes_.load(std::memory_order_relaxed); }
-  [[nodiscard]] std::uint64_t messages_lost() const { return messages_lost_.load(std::memory_order_relaxed); }
-  [[nodiscard]] Bytes bytes_lost() const { return bytes_lost_.load(std::memory_order_relaxed); }
+  // are additionally counted in messages_lost.
+  [[nodiscard]] std::uint64_t messages_sent() const { return messages_; }
+  [[nodiscard]] std::uint64_t wan_messages_sent() const { return wan_messages_; }
+  [[nodiscard]] Bytes bytes_sent() const { return bytes_; }
+  [[nodiscard]] Bytes wan_bytes_sent() const { return wan_bytes_; }
+  [[nodiscard]] std::uint64_t messages_lost() const { return messages_lost_; }
+  [[nodiscard]] Bytes bytes_lost() const { return bytes_lost_; }
   void reset_counters() {
     messages_ = wan_messages_ = messages_lost_ = 0;
     bytes_ = wan_bytes_ = bytes_lost_ = 0;
@@ -83,7 +74,7 @@ class Network {
   /// A link is "WAN" if its propagation latency passes this threshold;
   /// used for accounting (tests assert WAN-crossing counts per page), for
   /// selecting which links the WAN rate limit applies to, and as the
-  /// lookahead-domain boundary for SimRace.
+  /// lookahead-domain boundary.
   void set_wan_threshold(sim::Duration d) { wan_threshold_ = d; }
   [[nodiscard]] sim::Duration wan_threshold() const { return wan_threshold_; }
 
@@ -94,9 +85,9 @@ class Network {
   /// (from, to) — deterministic regardless of traversal order.
   void set_wan_rate_limit(double rate_bps, Bytes burst_bytes);
 
-  [[nodiscard]] std::uint64_t wan_throttled() const { return wan_throttled_.load(std::memory_order_relaxed); }
+  [[nodiscard]] std::uint64_t wan_throttled() const { return wan_throttled_; }
   [[nodiscard]] sim::Duration wan_throttle_time() const {
-    return sim::Duration::micros(wan_throttle_micros_.load(std::memory_order_relaxed));
+    return sim::Duration::micros(wan_throttle_micros_);
   }
 
  private:
@@ -109,19 +100,16 @@ class Network {
   FaultInjector* faults_ = nullptr;
   double wan_rate_bps_ = 0.0;  // 0 = no WAN shaping (the default)
   Bytes wan_burst_bytes_ = 0;
-  // Pre-created for every WAN link when the limit is installed, so the map
-  // structure is immutable during a (possibly parallel) run; each limiter's
-  // state is only touched from its own link's source domain.
   std::map<std::pair<std::uint32_t, std::uint32_t>, RateLimiter> wan_limiters_;
-  std::vector<sim::Simulator::DomainId> domain_of_node_;  // empty = sequential
-  std::atomic<std::uint64_t> wan_throttled_{0};
-  std::atomic<std::int64_t> wan_throttle_micros_{0};
-  std::atomic<std::uint64_t> messages_{0};
-  std::atomic<std::uint64_t> wan_messages_{0};
-  std::atomic<std::uint64_t> messages_lost_{0};
-  std::atomic<Bytes> bytes_{0};
-  std::atomic<Bytes> wan_bytes_{0};
-  std::atomic<Bytes> bytes_lost_{0};
+  std::vector<sim::Simulator::DomainId> domain_of_node_;  // empty = untagged
+  std::uint64_t wan_throttled_ = 0;
+  std::int64_t wan_throttle_micros_ = 0;
+  std::uint64_t messages_ = 0;
+  std::uint64_t wan_messages_ = 0;
+  std::uint64_t messages_lost_ = 0;
+  Bytes bytes_ = 0;
+  Bytes wan_bytes_ = 0;
+  Bytes bytes_lost_ = 0;
 };
 
 }  // namespace mutsvc::net

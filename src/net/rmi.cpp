@@ -69,7 +69,7 @@ sim::Duration RmiTransport::backoff_delay(NodeId caller, int attempt_no) {
 sim::Task<void> RmiTransport::attempt(NodeId caller, NodeId callee, Bytes args,
                                       std::function<sim::Task<Bytes>()> server_work) {
   if (cfg_.extra_rtt_prob > 0.0 && stream_for(caller).bernoulli(cfg_.extra_rtt_prob)) {
-    extra_round_trips_.fetch_add(1, std::memory_order_relaxed);
+    ++extra_round_trips_;
     co_await net_.deliver(caller, callee, cfg_.ping_bytes);
     co_await net_.deliver(callee, caller, cfg_.ping_bytes);
   }
@@ -199,12 +199,12 @@ sim::Task<void> RmiTransport::traced_call(NodeId caller, NodeId callee, Bytes ar
 sim::Task<void> RmiTransport::call(NodeId caller, NodeId callee, Bytes args, Bytes result,
                                    std::function<sim::Task<void>()> server_work,
                                    stats::TraceSink* trace) {
-  calls_.fetch_add(1, std::memory_order_relaxed);
+  ++calls_;
   if (caller == callee) {
     co_await server_work();
     co_return;
   }
-  remote_calls_.fetch_add(1, std::memory_order_relaxed);
+  ++remote_calls_;
   co_await traced_call(caller, callee, args,
                        [result, work = std::move(server_work)]() -> sim::Task<Bytes> {
                          co_await work();
@@ -216,19 +216,19 @@ sim::Task<void> RmiTransport::call(NodeId caller, NodeId callee, Bytes args, Byt
 sim::Task<void> RmiTransport::call_dynamic(NodeId caller, NodeId callee, Bytes args,
                                            std::function<sim::Task<Bytes>()> server_work,
                                            stats::TraceSink* trace) {
-  calls_.fetch_add(1, std::memory_order_relaxed);
+  ++calls_;
   if (caller == callee) {
     (void)co_await server_work();
     co_return;
   }
-  remote_calls_.fetch_add(1, std::memory_order_relaxed);
+  ++remote_calls_;
   co_await traced_call(caller, callee, args, std::move(server_work), trace);
 }
 
 sim::Task<void> RmiTransport::stub_exchange(NodeId caller, NodeId callee,
                                             stats::TraceSink* trace) {
   if (caller == callee) co_return;
-  stub_exchanges_.fetch_add(1, std::memory_order_relaxed);
+  ++stub_exchanges_;
   const sim::SimTime t0 = net_.simulator().now();
   co_await net_.deliver(caller, callee, cfg_.stub_request);
   co_await net_.deliver(callee, caller, cfg_.stub_response);

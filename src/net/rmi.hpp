@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -82,8 +81,7 @@ class RmiTransport {
   /// stream to one forked stream per caller node ("rmi-node-<i>"). Forking
   /// is a pure function of the root seed and the name, so each node's draw
   /// sequence is fixed regardless of how calls from different nodes
-  /// interleave — the property that lets lookahead domains run in parallel
-  /// without perturbing the draws. Call before issuing traffic.
+  /// interleave. Call before issuing traffic.
   void partition_streams(std::size_t node_count);
 
   /// Installs the resilience policy. Call before issuing traffic.
@@ -112,14 +110,10 @@ class RmiTransport {
   [[nodiscard]] CircuitBreaker& breaker(NodeId callee);
 
   [[nodiscard]] const RmiConfig& config() const { return cfg_; }
-  [[nodiscard]] std::uint64_t calls() const { return calls_.load(std::memory_order_relaxed); }
-  [[nodiscard]] std::uint64_t remote_calls() const { return remote_calls_.load(std::memory_order_relaxed); }
-  [[nodiscard]] std::uint64_t extra_round_trips() const {
-    return extra_round_trips_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t stub_exchanges() const {
-    return stub_exchanges_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t calls() const { return calls_; }
+  [[nodiscard]] std::uint64_t remote_calls() const { return remote_calls_; }
+  [[nodiscard]] std::uint64_t extra_round_trips() const { return extra_round_trips_; }
+  [[nodiscard]] std::uint64_t stub_exchanges() const { return stub_exchanges_; }
 
   // --- resilience accounting ----------------------------------------------
   [[nodiscard]] std::uint64_t retries() const { return retries_; }
@@ -163,12 +157,10 @@ class RmiTransport {
   sim::RngStream rng_;
   std::vector<sim::RngStream> node_rngs_;  // indexed by caller node id
   std::map<NodeId, CircuitBreaker> breakers_;
-  // Commutative sums in relaxed atomics: safe to bump from any lookahead
-  // domain without an ordering dependency.
-  std::atomic<std::uint64_t> calls_{0};
-  std::atomic<std::uint64_t> remote_calls_{0};
-  std::atomic<std::uint64_t> extra_round_trips_{0};
-  std::atomic<std::uint64_t> stub_exchanges_{0};
+  std::uint64_t calls_ = 0;
+  std::uint64_t remote_calls_ = 0;
+  std::uint64_t extra_round_trips_ = 0;
+  std::uint64_t stub_exchanges_ = 0;
   std::uint64_t retries_ = 0;
   std::uint64_t timeouts_ = 0;
   std::uint64_t failed_calls_ = 0;

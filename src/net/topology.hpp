@@ -112,13 +112,12 @@ class Topology {
   /// Sum of propagation latencies along the route (no queueing/transmission).
   [[nodiscard]] sim::Duration path_latency(NodeId a, NodeId b);
 
-  /// Partitions nodes into lookahead domains for SimRace / the conservative
-  /// parallel executor: connected components of the links whose latency is
-  /// below `wan_threshold`, link up/down state ignored (a flapping link is
-  /// still the same parallelization boundary). Sub-threshold (LAN) links
-  /// give no usable lookahead window, so a LAN island must share one event
-  /// queue; only WAN links separate domains. Returns domain id per node
-  /// index, ids dense and assigned in node order.
+  /// Partitions nodes into lookahead domains, the event-order tags of
+  /// DESIGN §15: connected components of the links whose latency is below
+  /// `wan_threshold`, link up/down state ignored (a flapping link is still
+  /// the same boundary). Each LAN island is one domain; only WAN links
+  /// separate domains. Returns domain id per node index, ids dense and
+  /// assigned in node order.
   [[nodiscard]] std::vector<std::uint32_t> lookahead_domains(sim::Duration wan_threshold) const;
 
   /// Round-trip propagation latency.

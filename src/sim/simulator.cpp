@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <exception>
-#include <string>
 
 namespace mutsvc::sim {
 
@@ -31,107 +30,66 @@ struct DetachedTask {
 
 DetachedTask run_detached(Task<void> task) { co_await std::move(task); }
 
-/// Scheduling/executing domain of the current thread. Thread-local so each
-/// windowed worker carries the domain of the shard it is executing; a trial
-/// never migrates threads mid-event, so this is always coherent with the
-/// simulator the thread is driving.
-thread_local Simulator::DomainId t_current_domain = 0;
-
 constexpr std::uintptr_t kResumeBit = 1;
 
 }  // namespace
 
-Simulator::Simulator(std::uint64_t seed) : rng_(seed) {
-  shards_.resize(1);
-  dseq_.resize(1);
-}
+Simulator::Simulator(std::uint64_t seed) : next_seq_(1, 0), rng_(seed) {}
 
-Simulator::DomainId Simulator::current_domain() const { return t_current_domain; }
-
-void Simulator::set_current_domain(DomainId d) { t_current_domain = d; }
-
-Simulator::DomainScope::DomainScope(Simulator& sim, DomainId d) : prev_(t_current_domain) {
+Simulator::DomainScope::DomainScope(Simulator& sim, DomainId d)
+    : sim_(sim), prev_(sim.current_domain_) {
   if (sim.domain_count_ > 0 && d >= sim.domain_count_) {
     throw std::out_of_range("Simulator::DomainScope: domain out of range");
   }
-  t_current_domain = d;
+  sim.current_domain_ = d;
 }
 
-Simulator::DomainScope::~DomainScope() { t_current_domain = prev_; }
-
-void Simulator::setup_domains(std::uint32_t count) {
+void Simulator::enable_domains(std::uint32_t count) {
   if (count == 0 || count > 256) {
     throw std::invalid_argument("Simulator: domain count must be in [1, 256]");
   }
   if (domain_count_ > 0) throw std::logic_error("Simulator: domains already enabled");
-  if (!shards_[0].heap.empty() || executed_ > 0) {
+  if (!heap_.empty() || executed_ > 0) {
     throw std::logic_error("Simulator: enable domains before scheduling events");
   }
   domain_count_ = count;
-  dseq_.assign(count, DomainSeq{});
-  domain_rngs_.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    domain_rngs_.push_back(rng_.fork("domain-" + std::to_string(i)));
-  }
-}
-
-void Simulator::enable_domains(std::uint32_t count) { setup_domains(count); }
-
-void Simulator::enable_windowed(std::uint32_t count, Duration window) {
-  if (window <= Duration::zero()) {
-    throw std::invalid_argument("Simulator: window width must be positive");
-  }
-  setup_domains(count);
-  windowed_ = true;
-  window_ = window;
-  window_end_ = SimTime::origin() + window;
-  shards_.resize(count);
-  for (Shard& s : shards_) s.outbox.resize(count);
-}
-
-SimTime Simulator::now_windowed() const { return shards_[t_current_domain].now; }
-
-Simulator::Shard& Simulator::sched_shard() {
-  return windowed_ ? shards_[t_current_domain] : shards_[0];
+  next_seq_.assign(count, 0);
 }
 
 std::uint64_t Simulator::next_key(DomainId target, DomainId owner) {
-  if (domain_count_ == 0) return dseq_[0].next++;
+  if (domain_count_ == 0) return next_seq_[0]++;
   return (static_cast<std::uint64_t>(target) << 56) |
-         (static_cast<std::uint64_t>(owner) << 48) | dseq_[owner].next++;
+         (static_cast<std::uint64_t>(owner) << 48) | next_seq_[owner]++;
 }
 
-void Simulator::push_event(Shard& s, SimTime at, std::uint64_t key, std::uintptr_t payload) {
-  s.heap.push_back(HeapNode{at, key, payload});
-  std::push_heap(s.heap.begin(), s.heap.end(), NodeOrder{});
+void Simulator::push_event(SimTime at, std::uint64_t key, std::uintptr_t payload) {
+  heap_.push_back(HeapNode{at, key, payload});
+  std::push_heap(heap_.begin(), heap_.end(), NodeOrder{});
 }
 
-std::uintptr_t Simulator::make_slot(Shard& s, EventFn fn) {
+std::uintptr_t Simulator::make_slot(EventFn fn) {
   std::uint32_t slot;
-  if (!s.free_slots.empty()) {
-    slot = s.free_slots.back();
-    s.free_slots.pop_back();
-    s.slots[slot] = std::move(fn);
+  if (!free_slots_.empty()) {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    slots_[slot] = std::move(fn);
   } else {
-    slot = static_cast<std::uint32_t>(s.slots.size());
-    s.slots.push_back(std::move(fn));
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.push_back(std::move(fn));
   }
   return static_cast<std::uintptr_t>(slot) << 1;
 }
 
 void Simulator::schedule_at(SimTime at, EventFn fn) {
-  Shard& s = sched_shard();
-  if (at < s.now) at = s.now;
-  const DomainId d = domain_count_ > 0 ? t_current_domain : 0;
-  const std::uint64_t key = next_key(d, d);
-  push_event(s, at, key, make_slot(s, std::move(fn)));
+  if (at < now_) at = now_;
+  const std::uint64_t key = next_key(current_domain_, current_domain_);
+  push_event(at, key, make_slot(std::move(fn)));
 }
 
 void Simulator::schedule_resume_at(SimTime at, std::coroutine_handle<> h) {
-  Shard& s = sched_shard();
-  if (at < s.now) at = s.now;
-  const DomainId d = domain_count_ > 0 ? t_current_domain : 0;
-  push_event(s, at, next_key(d, d), reinterpret_cast<std::uintptr_t>(h.address()) | kResumeBit);
+  if (at < now_) at = now_;
+  push_event(at, next_key(current_domain_, current_domain_),
+             reinterpret_cast<std::uintptr_t>(h.address()) | kResumeBit);
 }
 
 void Simulator::schedule_resume_in(DomainId dest, Duration d, std::coroutine_handle<> h) {
@@ -142,39 +100,10 @@ void Simulator::schedule_resume_in(DomainId dest, Duration d, std::coroutine_han
   if (dest >= domain_count_) {
     throw std::out_of_range("Simulator::wait_in: destination domain out of range");
   }
-  const DomainId cur = t_current_domain;
-  const std::uintptr_t payload = reinterpret_cast<std::uintptr_t>(h.address()) | kResumeBit;
-  if (!windowed_ || dest == cur) {
-    Shard& s = sched_shard();
-    SimTime at = s.now + d;
-    if (at < s.now) at = s.now;
-    push_event(windowed_ ? shards_[dest] : s, at, next_key(dest, cur), payload);
-    return;
-  }
-  // Cross-domain: stage at the sender with a sender-assigned key; the
-  // barrier merge just moves it into the destination heap, so merge order
-  // is deterministic. The lookahead check is what makes the conservative
-  // window safe: the event must not land inside the window being executed.
-  Shard& s = shards_[cur];
-  const SimTime at = s.now + d;
-  if (at < window_end_) {
-    throw LookaheadViolation(
-        "Simulator::wait_in: cross-domain event at t=" + std::to_string(at.count_micros()) +
-        "us lands inside the current window (ends t=" +
-        std::to_string(window_end_.count_micros()) +
-        "us); a link latency undercuts the certified lookahead window of " +
-        std::to_string(window_.count_micros()) + "us");
-  }
-  s.outbox[dest].push_back(StagedEvent{at, next_key(dest, cur), payload});
-}
-
-void Simulator::sequenced(EventFn fn) {
-  if (!windowed_) {
-    fn();
-    return;
-  }
-  Shard& s = shards_[t_current_domain];
-  s.effects.push_back(SequencedOp{s.exec_at, s.exec_key, s.exec_intra++, std::move(fn)});
+  SimTime at = now_ + d;
+  if (at < now_) at = now_;
+  push_event(at, next_key(dest, current_domain_),
+             reinterpret_cast<std::uintptr_t>(h.address()) | kResumeBit);
 }
 
 void Simulator::spawn(Task<void> task) {
@@ -182,7 +111,7 @@ void Simulator::spawn(Task<void> task) {
   run_detached(std::move(task));
 }
 
-void Simulator::dispatch(Shard& s, const HeapNode& node) {
+void Simulator::dispatch(const HeapNode& node) {
   if (node.payload & kResumeBit) {
     std::coroutine_handle<>::from_address(
         reinterpret_cast<void*>(node.payload & ~kResumeBit))
@@ -192,113 +121,27 @@ void Simulator::dispatch(Shard& s, const HeapNode& node) {
   // Move the callable out and recycle its slot before invoking: the
   // handler may schedule new events into the slab.
   const auto slot = static_cast<std::uint32_t>(node.payload >> 1);
-  EventFn fn = std::move(s.slots[slot]);
-  s.free_slots.push_back(slot);
+  EventFn fn = std::move(slots_[slot]);
+  free_slots_.push_back(slot);
   fn();
 }
 
-void Simulator::run_shard_span(Shard& s, SimTime limit, SimTime until, bool capture_errors) {
-  const bool tagged = domain_count_ > 0;
-  while (!s.heap.empty()) {
-    const SimTime at = s.heap.front().at;
-    if (at > until || at >= limit) break;
-    std::pop_heap(s.heap.begin(), s.heap.end(), NodeOrder{});
-    const HeapNode node = s.heap.back();
-    s.heap.pop_back();
-    s.now = node.at;
-    s.exec_at = node.at;
-    s.exec_key = node.key;
-    s.exec_intra = 0;
-    if (tagged) t_current_domain = static_cast<DomainId>(node.key >> 56);
-    if (capture_errors) {
-      try {
-        dispatch(s, node);
-      } catch (...) {
-        // Remember the earliest failing event; the barrier rethrows the
-        // globally earliest one, deterministically at any worker count.
-        s.error = std::current_exception();
-        s.error_at = node.at;
-        s.error_key = node.key;
-        ++s.executed;
-        break;
-      }
-    } else {
-      dispatch(s, node);
-    }
-    ++s.executed;
-  }
-}
-
 std::size_t Simulator::run_until(SimTime until) {
-  if (windowed_) return run_windows_until(until, 1);
-  Shard& s = shards_[0];
-  const std::size_t before = s.executed;
-  const DomainId prev_domain = t_current_domain;
-  run_shard_span(s, SimTime::max(), until, /*capture_errors=*/false);
-  t_current_domain = prev_domain;
-  const std::size_t executed = s.executed - before;
-  executed_ += executed;
-  if (until != SimTime::max() && s.now < until) s.now = until;
-  return executed;
-}
-
-void Simulator::merge_barrier() {
-  // Move staged cross-domain events into their destination heaps. Their
-  // keys were assigned at the sender, so heap order — and therefore
-  // execution order — is independent of the merge traversal.
-  for (Shard& s : shards_) {
-    for (std::size_t d = 0; d < s.outbox.size(); ++d) {
-      for (const StagedEvent& ev : s.outbox[d]) {
-        push_event(shards_[d], ev.at, ev.key, ev.payload);
-      }
-      s.outbox[d].clear();
-    }
+  const std::size_t before = executed_;
+  const DomainId prev_domain = current_domain_;
+  const bool tagged = domain_count_ > 0;
+  while (!heap_.empty() && heap_.front().at <= until) {
+    std::pop_heap(heap_.begin(), heap_.end(), NodeOrder{});
+    const HeapNode node = heap_.back();
+    heap_.pop_back();
+    now_ = node.at;
+    if (tagged) current_domain_ = static_cast<DomainId>(node.key >> 56);
+    dispatch(node);
+    ++executed_;
   }
-  // Surface the earliest error before replaying effects: the sequential
-  // run would have stopped at that event.
-  Shard* failed = nullptr;
-  for (Shard& s : shards_) {
-    if (!s.error) continue;
-    if (failed == nullptr || s.error_at < failed->error_at ||
-        (s.error_at == failed->error_at &&
-         (s.error_key & kOrderMask) < (failed->error_key & kOrderMask))) {
-      failed = &s;
-    }
-  }
-  if (failed != nullptr) {
-    std::exception_ptr err = failed->error;
-    for (Shard& s : shards_) s.error = nullptr;
-    std::rethrow_exception(err);
-  }
-  // Replay stamped side effects in global event order — the interleaving
-  // the sequential run produced inline.
-  for (Shard& s : shards_) {
-    for (SequencedOp& op : s.effects) effect_scratch_.push_back(std::move(op));
-    s.effects.clear();
-  }
-  std::sort(effect_scratch_.begin(), effect_scratch_.end(),
-            [](const SequencedOp& a, const SequencedOp& b) {
-              if (a.at != b.at) return a.at < b.at;
-              if ((a.key & kOrderMask) != (b.key & kOrderMask)) {
-                return (a.key & kOrderMask) < (b.key & kOrderMask);
-              }
-              return a.intra < b.intra;
-            });
-  for (SequencedOp& op : effect_scratch_) op.fn();
-  effect_scratch_.clear();
-}
-
-bool Simulator::idle() const {
-  for (const Shard& s : shards_) {
-    if (!s.heap.empty()) return false;
-  }
-  return true;
-}
-
-std::size_t Simulator::pending_events() const {
-  std::size_t n = 0;
-  for (const Shard& s : shards_) n += s.heap.size();
-  return n;
+  current_domain_ = prev_domain;
+  if (until != SimTime::max() && now_ < until) now_ = until;
+  return executed_ - before;
 }
 
 }  // namespace mutsvc::sim

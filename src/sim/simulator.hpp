@@ -12,14 +12,6 @@
 
 namespace mutsvc::sim {
 
-/// A cross-domain event undercut the lookahead window: the topology's
-/// declared latencies (the lookahead certificate) no longer cover the
-/// configured window width. Always a configuration/model bug, never a
-/// scheduling race — the check is deterministic.
-struct LookaheadViolation : std::logic_error {
-  using std::logic_error::logic_error;
-};
-
 /// Discrete-event simulation kernel.
 ///
 /// Owns the virtual clock and the event heap. Events scheduled for the same
@@ -37,16 +29,12 @@ struct LookaheadViolation : std::logic_error {
 /// Lookahead domains (DESIGN §15): `enable_domains()` tags every event with
 /// the domain that created it (owner) and the domain it runs in (target).
 /// The order key packs `target(8) | owner(8) | per-owner seq(48)` and the
-/// heap comparator masks the target byte off, so execution order is
-/// `(time, owner, seq)` — a total order assigned where the event is
-/// *created*. Because a domain's schedule sequence is the same whether the
-/// simulation runs on one heap or on per-domain heaps (cross-domain events
-/// only arrive a full lookahead window later), the order is identical in
-/// every execution mode, which is what makes the windowed parallel mode
-/// (`enable_windowed` + `run_windows_until`) bit-identical to sequential at
-/// any worker count. With domains disabled the key degenerates to the
-/// legacy global FIFO sequence — bare Simulator users see the old kernel,
-/// byte for byte.
+/// heap comparator masks the target byte off, so same-time events fire in
+/// `(owner, seq)` order — a total order assigned where the event is
+/// *created*. The experiment harness partitions its testbed into WAN
+/// islands this way, and the paper-ladder goldens are recorded in that
+/// order. With domains disabled the key degenerates to the global FIFO
+/// sequence — bare Simulator users see the plain `(time, seq)` kernel.
 class Simulator {
  public:
   using DomainId = std::uint8_t;
@@ -56,9 +44,7 @@ class Simulator {
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
-  [[nodiscard]] SimTime now() const {
-    return windowed_ ? now_windowed() : shards_[0].now;
-  }
+  [[nodiscard]] SimTime now() const { return now_; }
 
   /// Schedules `fn` to run at absolute time `at` (clamped to now()).
   void schedule_at(SimTime at, EventFn fn);
@@ -104,67 +90,43 @@ class Simulator {
   /// Runs for `d` of simulated time from the current clock.
   std::size_t run_for(Duration d) { return run_until(now() + d); }
 
-  [[nodiscard]] bool idle() const;
-  [[nodiscard]] std::size_t pending_events() const;
+  [[nodiscard]] bool idle() const { return heap_.empty(); }
+  [[nodiscard]] std::size_t pending_events() const { return heap_.size(); }
   [[nodiscard]] std::size_t executed_events() const { return executed_; }
 
   /// Root RNG; subsystems should fork named streams from it.
   [[nodiscard]] RngStream& rng() { return rng_; }
 
-  // --- lookahead domains (conservative parallel execution, DESIGN §15) ----
+  // --- lookahead domains (event-order tagging, DESIGN §15) -----------------
 
-  /// Turns on domain tagging with `count` domains (single heap, sequential
-  /// execution). Must be called before any event is scheduled. Also forks
-  /// one named RNG stream per domain (`domain-<i>`) — forking is a pure
-  /// function of the root seed and the name, so the streams are identical
-  /// regardless of when or in which order domains later draw from them.
+  /// Turns on domain tagging with `count` domains. Must be called before
+  /// any event is scheduled.
   void enable_domains(std::uint32_t count);
-
-  /// Turns on the windowed parallel mode: per-domain event heaps, slabs and
-  /// clocks, executed in lock-step windows of width `window` with
-  /// cross-domain deliveries exchanged at window barriers. Must be called
-  /// before any event is scheduled. `window` must not exceed the minimum
-  /// cross-domain message latency (the lookahead) — `wait_in` enforces this
-  /// per staged event and throws on a violation.
-  void enable_windowed(std::uint32_t count, Duration window);
-
-  [[nodiscard]] bool domains_enabled() const { return domain_count_ > 0; }
-  [[nodiscard]] bool windowed() const { return windowed_; }
-  [[nodiscard]] std::uint32_t domain_count() const {
-    return domain_count_ > 0 ? domain_count_ : 1;
-  }
-  [[nodiscard]] Duration window() const { return window_; }
 
   /// Domain that owns the currently executing event (events it schedules
   /// are tagged with it). 0 outside event execution unless a DomainScope is
-  /// active. Thread-local: in windowed mode each worker sees the domain of
-  /// the shard it is executing.
-  [[nodiscard]] DomainId current_domain() const;
-
-  /// Per-domain RNG stream forked at enable time (`domain-<i>`). Only the
-  /// owning domain may draw from it during windowed execution.
-  [[nodiscard]] RngStream& domain_rng(DomainId d) { return domain_rngs_[d]; }
+  /// active.
+  [[nodiscard]] DomainId current_domain() const { return current_domain_; }
 
   /// RAII scope that sets the scheduling domain for setup-time code (client
   /// spawns, per-node timers). Must not span a co_await.
   class DomainScope {
    public:
     DomainScope(Simulator& sim, DomainId d);
-    ~DomainScope();
+    ~DomainScope() { sim_.current_domain_ = prev_; }
     DomainScope(const DomainScope&) = delete;
     DomainScope& operator=(const DomainScope&) = delete;
 
    private:
+    Simulator& sim_;
     DomainId prev_;
   };
 
-  /// Awaitable that resumes the current task in domain `dest` after `d`.
-  /// The hop that carries a message across a lookahead boundary. In
-  /// windowed mode the resume is staged into an index-addressed outbox slot
-  /// and merged into the destination heap at the next window barrier; its
-  /// order key was assigned here, at the sender, so the merge order is
-  /// deterministic regardless of barrier arrival order. Throws
-  /// LookaheadViolation when `d` undercuts the window width.
+  /// Awaitable that resumes the current task in domain `dest` after `d`:
+  /// the hop that carries a message across an island boundary. The resume
+  /// is keyed by the *sending* domain's sequence but executes as `dest`, so
+  /// everything it schedules afterwards is owned by `dest`. On a bare
+  /// simulator (no domains) it is a plain wait.
   [[nodiscard]] auto wait_in(DomainId dest, Duration d) {
     struct Awaiter {
       Simulator& sim;
@@ -177,32 +139,11 @@ class Simulator {
     return Awaiter{*this, dest, d};
   }
 
-  /// Runs `fn` in the global deterministic event order. Sequential modes
-  /// execute it inline; windowed mode stamps it with the executing event's
-  /// order key (plus an intra-event counter) and replays all staged effects
-  /// in sorted stamp order at the window barrier — the exact interleaving
-  /// the sequential run would have produced. For order-sensitive shared
-  /// accumulators (response collectors, consistency shadows) that multiple
-  /// domains feed.
-  void sequenced(EventFn fn);
-
-  /// Windowed parallel run: executes lock-step windows on `workers` OS
-  /// threads (1 = inline on the caller, no threads spawned) until the clock
-  /// passes `until`. Requires enable_windowed(). Bit-identical to
-  /// run_until() on a tagged single heap at any worker count. A throwing
-  /// event stops its own domain's window; the remaining domains finish the
-  /// window, then the error with the smallest event stamp is rethrown —
-  /// deterministic regardless of worker interleaving (the across-trial
-  /// sweep runner's contract, applied within a trial).
-  std::size_t run_windows_until(SimTime until, std::size_t workers);
-
  private:
-  friend class ParallelWindowPool;
-
   /// Order key: target(8) | owner(8) | per-owner sequence(48). The
-  /// comparator masks the target byte so the order is (time, owner, seq) —
-  /// invariant across execution modes. Untagged events use owner 0 and the
-  /// global sequence: exactly the legacy (time, seq) FIFO order.
+  /// comparator masks the target byte so the order is (time, owner, seq).
+  /// Untagged events use owner 0 and the global sequence: exactly the
+  /// plain (time, seq) FIFO order.
   static constexpr std::uint64_t kOrderMask = 0x00FF'FFFF'FFFF'FFFFULL;
 
   struct HeapNode {
@@ -217,68 +158,20 @@ class Simulator {
     }
   };
 
-  /// A cross-domain resume staged at the sender; merged at the barrier.
-  struct StagedEvent {
-    SimTime at;
-    std::uint64_t key;
-    std::uintptr_t payload;
-  };
-
-  /// A side effect staged by sequenced(), stamped with its event of origin.
-  struct SequencedOp {
-    SimTime at;
-    std::uint64_t key;
-    std::uint32_t intra;
-    EventFn fn;
-  };
-
-  /// One domain's event machinery. In sequential modes only shard 0 exists.
-  /// Alignment keeps two workers' hot fields off a shared cache line.
-  struct alignas(64) Shard {
-    SimTime now;
-    std::size_t executed = 0;
-    std::vector<HeapNode> heap;
-    std::vector<EventFn> slots;              // slab of pending callables
-    std::vector<std::uint32_t> free_slots;   // recycled slab slots
-    // Stamp of the event being executed (sequenced() ordering).
-    SimTime exec_at;
-    std::uint64_t exec_key = 0;
-    std::uint32_t exec_intra = 0;
-    // Windowed mode only:
-    std::vector<std::vector<StagedEvent>> outbox;  // indexed by destination
-    std::vector<SequencedOp> effects;
-    std::exception_ptr error;
-    SimTime error_at;
-    std::uint64_t error_key = 0;
-  };
-  struct alignas(64) DomainSeq {
-    std::uint64_t next = 0;
-  };
-
-  static void set_current_domain(DomainId d);
-  [[nodiscard]] SimTime now_windowed() const;
-  [[nodiscard]] Shard& sched_shard();
   [[nodiscard]] std::uint64_t next_key(DomainId target, DomainId owner);
-  void push_event(Shard& s, SimTime at, std::uint64_t key, std::uintptr_t payload);
-  [[nodiscard]] std::uintptr_t make_slot(Shard& s, EventFn fn);
+  void push_event(SimTime at, std::uint64_t key, std::uintptr_t payload);
+  [[nodiscard]] std::uintptr_t make_slot(EventFn fn);
   void schedule_resume_in(DomainId dest, Duration d, std::coroutine_handle<> h);
-  void dispatch(Shard& s, const HeapNode& node);
-  /// Executes shard events with at <= until and at < limit.
-  void run_shard_span(Shard& s, SimTime limit, SimTime until, bool capture_errors);
-  /// Window barrier: merge outboxes into destination heaps, replay staged
-  /// side effects in stamp order, surface the earliest captured error.
-  void merge_barrier();
-  void setup_domains(std::uint32_t count);
+  void dispatch(const HeapNode& node);
 
+  SimTime now_;
   std::size_t executed_ = 0;
-  std::uint32_t domain_count_ = 0;  // 0 = untagged legacy mode
-  bool windowed_ = false;
-  Duration window_;
-  SimTime window_end_;  // written by the coordinator between windows only
-  std::vector<Shard> shards_;       // size 1 until enable_windowed
-  std::vector<DomainSeq> dseq_;     // per-owner sequence counters
-  std::vector<RngStream> domain_rngs_;
-  std::vector<SequencedOp> effect_scratch_;
+  std::uint32_t domain_count_ = 0;  // 0 = untagged (bare simulator)
+  DomainId current_domain_ = 0;
+  std::vector<HeapNode> heap_;
+  std::vector<EventFn> slots_;             // slab of pending callables
+  std::vector<std::uint32_t> free_slots_;  // recycled slab slots
+  std::vector<std::uint64_t> next_seq_;    // per-owner sequence counters
   RngStream rng_;
 };
 

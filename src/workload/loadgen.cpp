@@ -54,26 +54,19 @@ void LoadGenerator::start_open_group(const ClientGroupSpec& spec, sim::SimTime e
 
 void LoadGenerator::record_outcome(const ClientGroupSpec& spec, const PageRequest& req,
                                    RequestOutcome outcome, sim::Duration response_time) {
-  completed_.fetch_add(1, std::memory_order_relaxed);
-  // The collector's histograms are shared, order-sensitive state: stage the
-  // record as a sequenced effect. Sequentially it runs inline right here;
-  // under parallel domains it replays at the window barrier in
-  // deterministic (time, key) stamp order, so the collector ingests
-  // completions in exactly the sequential order.
-  sim_.sequenced([this, now = sim_.now(), page = req.page, pattern = req.pattern,
-                  group = spec.group, outcome, response_time] {
-    switch (outcome) {
-      case RequestOutcome::kOk:
-        collector_.record(now, page, pattern, group, response_time);
-        break;
-      case RequestOutcome::kFailed:
-        collector_.record_failure(now, page, pattern, group);
-        break;
-      case RequestOutcome::kRejected:
-        collector_.record_rejection(now, page, pattern, group);
-        break;
-    }
-  });
+  ++completed_;
+  const sim::SimTime now = sim_.now();
+  switch (outcome) {
+    case RequestOutcome::kOk:
+      collector_.record(now, req.page, req.pattern, spec.group, response_time);
+      break;
+    case RequestOutcome::kFailed:
+      collector_.record_failure(now, req.page, req.pattern, spec.group);
+      break;
+    case RequestOutcome::kRejected:
+      collector_.record_rejection(now, req.page, req.pattern, spec.group);
+      break;
+  }
 }
 
 sim::Task<void> LoadGenerator::run_client(ClientGroupSpec spec, bool is_browser,
@@ -87,12 +80,12 @@ sim::Task<void> LoadGenerator::run_client(ClientGroupSpec spec, bool is_browser,
     // Session routing key: a mixed session ordinal, sticky for every page
     // of this session. No RNG draw, so the request trajectory is untouched.
     const std::uint64_t session_key =
-        SmallRng::mix(sessions_.fetch_add(1, std::memory_order_relaxed) + 1);
+        SmallRng::mix(++sessions_);
     while (auto req = script->next()) {
       if (sim_.now() >= end_at) co_return;
       req->session_key = session_key;
       const sim::SimTime start = sim_.now();
-      requests_.fetch_add(1, std::memory_order_relaxed);  // counted at issue time
+      ++requests_;  // counted at issue time
       const RequestOutcome out = co_await executor_.execute(spec.client_node, *req);
       const sim::Duration response_time = sim_.now() - start;
       record_outcome(spec, *req, out, response_time);
@@ -107,7 +100,7 @@ sim::Task<void> LoadGenerator::run_client(ClientGroupSpec spec, bool is_browser,
 
 sim::Task<void> LoadGenerator::issue_one(ClientGroupSpec spec, PageRequest req) {
   const sim::SimTime start = sim_.now();
-  requests_.fetch_add(1, std::memory_order_relaxed);  // counted at issue time
+  ++requests_;  // counted at issue time
   const RequestOutcome out = co_await executor_.execute(spec.client_node, req);
   record_outcome(spec, req, out, sim_.now() - start);
 }
@@ -145,7 +138,7 @@ sim::Task<void> LoadGenerator::run_open_arrivals(ClientGroupSpec spec, sim::SimT
         continue;
       }
       (is_browser ? browser_key : writer_key) =
-          SmallRng::mix(sessions_.fetch_add(1, std::memory_order_relaxed) + 1);
+          SmallRng::mix(++sessions_);
       script = std::move(fresh);
     }
     req->session_key = is_browser ? browser_key : writer_key;

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -99,13 +98,9 @@ class LoadGenerator {
   void start_open_group(const ClientGroupSpec& spec, sim::SimTime end_at, sim::RngStream rng);
 
   /// Page requests handed to the executor, counted at issue time.
-  [[nodiscard]] std::uint64_t requests_issued() const {
-    return requests_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t requests_issued() const { return requests_; }
   /// Requests whose outcome has been recorded.
-  [[nodiscard]] std::uint64_t requests_completed() const {
-    return completed_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t requests_completed() const { return completed_; }
   /// Issued but not yet completed — nonzero at end_at when responses are
   /// still on the wire (those requests stay counted as issued).
   [[nodiscard]] std::uint64_t requests_in_flight() const {
@@ -113,9 +108,7 @@ class LoadGenerator {
   }
   /// Sessions that issued at least one request (a factory yielding an empty
   /// script is never counted).
-  [[nodiscard]] std::uint64_t sessions_started() const {
-    return sessions_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t sessions_started() const { return sessions_; }
 
  private:
   [[nodiscard]] sim::Task<void> run_client(ClientGroupSpec spec, bool is_browser,
@@ -130,10 +123,9 @@ class LoadGenerator {
   RequestExecutor& executor_;
   stats::ResponseTimeCollector& collector_;
   LoadGenConfig cfg_;
-  // Commutative sums in relaxed atomics — safe from any lookahead domain.
-  std::atomic<std::uint64_t> requests_{0};
-  std::atomic<std::uint64_t> completed_{0};
-  std::atomic<std::uint64_t> sessions_{0};
+  std::uint64_t requests_ = 0;
+  std::uint64_t completed_ = 0;
+  std::uint64_t sessions_ = 0;
 };
 
 }  // namespace mutsvc::workload

@@ -166,8 +166,8 @@ void SessionFsmEngine::fire(std::uint32_t id) {
   // no RNG draw, no extra record bytes. Slot reuse re-keys one-shot
   // sessions only after the previous occupant fully left.
   req->session_key = SmallRng::mix(static_cast<std::uint64_t>(id) ^ cfg_.session_salt);
-  requests_.fetch_add(1, std::memory_order_relaxed);  // counted at issue time
-  if (rec.step == 1) sessions_.fetch_add(1, std::memory_order_relaxed);
+  ++requests_;  // counted at issue time
+  if (rec.step == 1) ++sessions_;
   sim_.spawn(issue(id, std::move(*req), sim_.now()));
 }
 
@@ -199,24 +199,19 @@ sim::Task<void> SessionFsmEngine::issue(std::uint32_t id, PageRequest req,
   const Kind kind = kinds_[arena_[id].kind];
   const RequestOutcome out = co_await executor_.execute(kind.client_node, req);
   const sim::Duration response_time = sim_.now() - issued_at;
-  // Same sequenced-effect channel as LoadGenerator::record_outcome: inline
-  // sequentially, replayed in deterministic stamp order at the window
-  // barrier under the parallel executor.
-  sim_.sequenced([this, now = sim_.now(), page = req.page, pattern = req.pattern,
-                  group = kind.group, out, response_time] {
-    switch (out) {
-      case RequestOutcome::kOk:
-        collector_.record(now, page, pattern, group, response_time);
-        break;
-      case RequestOutcome::kFailed:
-        collector_.record_failure(now, page, pattern, group);
-        break;
-      case RequestOutcome::kRejected:
-        collector_.record_rejection(now, page, pattern, group);
-        break;
-    }
-  });
-  completed_.fetch_add(1, std::memory_order_relaxed);
+  const sim::SimTime now = sim_.now();
+  switch (out) {
+    case RequestOutcome::kOk:
+      collector_.record(now, req.page, req.pattern, kind.group, response_time);
+      break;
+    case RequestOutcome::kFailed:
+      collector_.record_failure(now, req.page, req.pattern, kind.group);
+      break;
+    case RequestOutcome::kRejected:
+      collector_.record_rejection(now, req.page, req.pattern, kind.group);
+      break;
+  }
+  ++completed_;
   // §3.3 soft delay: the next request fires think_time after this one was
   // issued, response time notwithstanding (clamped to now for slow pages).
   sim::SimTime next = issued_at + cfg_.think_time;

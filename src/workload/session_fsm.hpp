@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -62,11 +61,9 @@ class FsmScriptModel {
 ///
 /// Determinism: all engine state is touched only from the engine's own
 /// events, so an engine constructed under a DomainScope runs entirely
-/// inside that lookahead domain; collector records go through
-/// Simulator::sequenced like LoadGenerator::record_outcome, and bucket
-/// drains sort by (due time, session id). Results are therefore
-/// bit-identical under the windowed parallel executor at any worker count.
-/// Per-session rng streams are pure functions of (seed, stream index).
+/// inside that lookahead domain, and bucket drains sort by (due time,
+/// session id). Per-session rng streams are pure functions of (seed,
+/// stream index).
 class SessionFsmEngine {
  public:
   enum class Mode : std::uint8_t {
@@ -117,18 +114,12 @@ class SessionFsmEngine {
   // sessions_started once its first request is issued (a script that is
   // empty from step 0 is never counted — the rule the open-loop
   // LoadGenerator fix shares).
-  [[nodiscard]] std::uint64_t requests_issued() const {
-    return requests_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t requests_completed() const {
-    return completed_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t requests_issued() const { return requests_; }
+  [[nodiscard]] std::uint64_t requests_completed() const { return completed_; }
   [[nodiscard]] std::uint64_t requests_in_flight() const {
     return requests_issued() - requests_completed();
   }
-  [[nodiscard]] std::uint64_t sessions_started() const {
-    return sessions_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t sessions_started() const { return sessions_; }
 
   /// Sessions currently resident in the arena (recurring sessions stay
   /// resident for the whole run; one-shot sessions leave at script end).
@@ -191,12 +182,9 @@ class SessionFsmEngine {
 
   sim::SimTime end_at_ = sim::SimTime::max();
   bool started_ = false;
-  // Engine structures above are single-domain; these sums are read by
-  // cross-domain observers, so they follow the loadgen convention:
-  // commutative sums in relaxed atomics.
-  std::atomic<std::uint64_t> requests_{0};
-  std::atomic<std::uint64_t> completed_{0};
-  std::atomic<std::uint64_t> sessions_{0};
+  std::uint64_t requests_ = 0;
+  std::uint64_t completed_ = 0;
+  std::uint64_t sessions_ = 0;
   std::size_t live_ = 0;
   std::size_t peak_live_ = 0;
 };

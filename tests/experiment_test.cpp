@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
+#include <string>
 
 #include "apps/petstore/petstore.hpp"
 #include "apps/rubis/rubis.hpp"
@@ -292,6 +294,48 @@ TEST(PlacementIntegrationTest, AdvisorRediscoversThePaperConfiguration) {
   EXPECT_TRUE(contains(advice.read_only_entities, "Inventory"));
   EXPECT_FALSE(contains(advice.replicate_components, "OrderProcessor"));
   EXPECT_GT(advice.improvement_factor(), 5.0);
+}
+
+// --- collector observer hook ----------------------------------------------------
+
+TEST(ExperimentObserverTest, MetricsAndResponseObserverAreRefusedTogether) {
+  // Both calls install the collector's single observer hook; whichever came
+  // second would silently disable the other, so the pairing is refused in
+  // either order with a diagnostic naming both calls.
+  apps::petstore::PetStoreApp app;
+  auto expect_refused = [](auto&& second_call) {
+    try {
+      second_call();
+      FAIL() << "expected std::logic_error";
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string(e.what()).find("enable_metrics"), std::string::npos) << e.what();
+      EXPECT_NE(std::string(e.what()).find("set_response_observer"), std::string::npos)
+          << e.what();
+    }
+  };
+  {
+    Experiment exp{app.driver(), short_spec(ConfigLevel::kCentralized, 10.0, 1.0),
+                   petstore_calibration()};
+    exp.enable_metrics(sim::sec(5));
+    expect_refused([&] { exp.set_response_observer([](double) {}); });
+  }
+  {
+    Experiment exp{app.driver(), short_spec(ConfigLevel::kCentralized, 10.0, 1.0),
+                   petstore_calibration()};
+    exp.set_response_observer([](double) {});
+    expect_refused([&] { exp.enable_metrics(sim::sec(5)); });
+  }
+  // Each call alone still runs.
+  Experiment metered{app.driver(), short_spec(ConfigLevel::kCentralized, 10.0, 1.0),
+                     petstore_calibration()};
+  metered.enable_metrics(sim::sec(5));
+  metered.run();
+  std::size_t observed = 0;
+  Experiment observed_exp{app.driver(), short_spec(ConfigLevel::kCentralized, 10.0, 1.0),
+                          petstore_calibration()};
+  observed_exp.set_response_observer([&observed](double) { ++observed; });
+  observed_exp.run();
+  EXPECT_EQ(observed, observed_exp.results().total_samples());
 }
 
 }  // namespace

@@ -1,11 +1,12 @@
 // The FSM load engine wired through the full experiment harness (ISSUE 9):
 // conservation under the end-of-run rule, refusal for drivers without FSM
-// models, bit-identical results under the windowed parallel executor, the
+// models, bit-identical results on across-trial sweep workers, the
 // Zipf hot-shard scenario, and arrival envelopes at the spec level.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "apps/rubis/rubis.hpp"
 #include "core/calibration.hpp"
 #include "core/experiment.hpp"
+#include "core/sweep.hpp"
 #include "workload/arrivals.hpp"
 
 namespace mutsvc {
@@ -78,15 +80,13 @@ TEST(FsmExperimentTest, RepeatRunsAreBitIdentical) {
   EXPECT_EQ(digest(), digest());
 }
 
-TEST(FsmExperimentTest, ParallelDomainsLeaveResultsBitIdentical) {
-  // The FSM engine lives in its group's client domain and records through
-  // Simulator::sequenced, so the windowed parallel executor must reproduce
-  // the sequential trajectory exactly.
-  auto run_with = [](int workers) {
+TEST(FsmExperimentTest, SweepWorkersLeaveResultsBitIdentical) {
+  // Each trial owns its Simulator and FSM engines, so running the same spec
+  // on core::sweep worker threads must reproduce the inline trajectory
+  // exactly.
+  auto run_once = [] {
     apps::petstore::PetStoreApp app;
-    ExperimentSpec spec = fsm_spec();
-    spec.parallel_domains = workers;
-    core::Experiment exp{app.driver(), spec, core::petstore_calibration()};
+    core::Experiment exp{app.driver(), fsm_spec(), core::petstore_calibration()};
     exp.run();
     const auto& r = exp.results();
     std::vector<double> digest;
@@ -98,7 +98,11 @@ TEST(FsmExperimentTest, ParallelDomainsLeaveResultsBitIdentical) {
     digest.push_back(r.pattern_mean_ms("Buyer", stats::ClientGroup::kLocal));
     return digest;
   };
-  EXPECT_EQ(run_with(0), run_with(2));
+  const std::vector<double> inline_run = run_once();
+  std::vector<std::function<std::vector<double>()>> trials(2, run_once);
+  for (const std::vector<double>& pooled : core::sweep::run_trials(std::move(trials), 2)) {
+    EXPECT_EQ(pooled, inline_run);
+  }
 }
 
 TEST(FsmExperimentTest, DriverWithoutModelsIsRefused) {

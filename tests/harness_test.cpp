@@ -58,11 +58,6 @@ struct WanProbe {
     spec.level = level;
     spec.duration = sim::sec(1);  // we drive requests by hand
     spec.warmup = sim::Duration::zero();
-    // Hand-driven requests run on the harness thread in the main island;
-    // a remote page then crosses domains at LAN latency, which the windowed
-    // executor rejects as a lookahead violation. Pin the sequential loop so
-    // the probes pass under a fleet-wide MUTSVC_PAR_DOMAINS (CI par rows).
-    spec.parallel_domains = 0;
     HarnessCalibration cal = petstore_calibration();
     cal.rmi.extra_rtt_prob = 0.0;  // deterministic message counts
     exp = std::make_unique<Experiment>(app.driver(), spec, cal);

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "net/http.hpp"
 #include "net/network.hpp"
 #include "net/rmi.hpp"
@@ -271,6 +274,55 @@ TEST(RmiTest, ServerWorkIncludedInCallTime) {
     co_await h.sim.wait(ms(30));
   }));
   EXPECT_NEAR(d.as_millis(), 230.0, 1.0);
+}
+
+// --- lookahead domains (the event-order partition, DESIGN §15) -------------
+
+TEST(LookaheadDomainsTest, WanLinksSeparateLanIslands) {
+  Simulator sim;
+  Topology topo{sim};
+  auto a = topo.add_node("a", NodeRole::kAppServer);
+  auto b = topo.add_node("b", NodeRole::kDatabaseServer);
+  auto c = topo.add_node("c", NodeRole::kAppServer);
+  auto d = topo.add_node("d", NodeRole::kClientMachine);
+  topo.add_link(a, b, sim::us(500));  // LAN: same island
+  topo.add_link(b, c, ms(40));        // WAN: boundary
+  topo.add_link(c, d, ms(1));         // LAN: c and d share an island
+
+  const std::vector<std::uint32_t> dom = topo.lookahead_domains(ms(10));
+  ASSERT_EQ(dom.size(), 4u);
+  EXPECT_EQ(dom[a.value()], dom[b.value()]);
+  EXPECT_EQ(dom[c.value()], dom[d.value()]);
+  EXPECT_NE(dom[a.value()], dom[c.value()]);
+  // Dense ids in node order: the island of the lowest node id is domain 0.
+  EXPECT_EQ(dom[a.value()], 0u);
+  EXPECT_EQ(dom[c.value()], 1u);
+}
+
+TEST(LookaheadDomainsTest, AllLanIsOneDomainAndIsolatedNodesAreTheirOwn) {
+  Simulator sim;
+  Topology topo{sim};
+  auto a = topo.add_node("a", NodeRole::kAppServer);
+  auto b = topo.add_node("b", NodeRole::kAppServer);
+  auto c = topo.add_node("c", NodeRole::kAppServer);  // no links at all
+  topo.add_link(a, b, sim::us(100));
+
+  const std::vector<std::uint32_t> dom = topo.lookahead_domains(ms(10));
+  EXPECT_EQ(dom[a.value()], dom[b.value()]);
+  EXPECT_NE(dom[c.value()], dom[a.value()]);
+}
+
+TEST(LookaheadDomainsTest, DownedWanLinkIsStillABoundary) {
+  // Link up/down state is ignored: a flapping link does not change the
+  // partition (and with it the event order).
+  Simulator sim;
+  Topology topo{sim};
+  auto a = topo.add_node("a", NodeRole::kAppServer);
+  auto b = topo.add_node("b", NodeRole::kAppServer);
+  topo.add_link(a, b, ms(40));
+  topo.set_link_state(a, b, false);
+  const std::vector<std::uint32_t> dom = topo.lookahead_domains(ms(10));
+  EXPECT_NE(dom[a.value()], dom[b.value()]);
 }
 
 }  // namespace

@@ -7,8 +7,8 @@
 //
 // The constants below are the *same* rows shard_golden_test.cpp pins for the
 // placement-disabled run; sharing them asserts disabled == enabled-but-idle,
-// byte for byte. Runs under plain ctest, MUTSVC_SIMCHECK=1, MUTSVC_SIMRACE=1,
-// and MUTSVC_PAR_DOMAINS={0,1,4} (CI matrix rows over the `migration` label).
+// byte for byte. Runs under plain ctest and MUTSVC_SIMCHECK=1 (CI matrix rows
+// over the `migration` label).
 //
 // Regenerating (only legitimate after an intentional simulation change —
 // and then shard_golden_test.cpp must be updated to the identical rows):

@@ -106,12 +106,11 @@ const char* level_name(ConfigLevel level) {
 }
 
 // Captured from the domain-tagged baseline (DESIGN §15): every experiment
-// orders events by (time, owner-domain, per-domain sequence) — the order the
-// windowed parallel executor reproduces at any worker count — with per-node
+// orders events by (time, owner-domain, per-domain sequence), with per-node
 // RMI jitter streams and per-node warm-up resets. 180 s / 30 s warm-up,
-// default spec, both figure apps, all five rungs. The CI par-domains rows
-// rerun these rungs under MUTSVC_PAR_DOMAINS, so each row is also the
-// byte-identity gate for the parallel executor.
+// default spec, both figure apps, all five rungs. The CI simcheck row reruns
+// these rungs under the runtime sanitizer, so each row is also the
+// byte-identity gate for an instrumented run.
 const GoldenCase kGolden[] = {
     {"petstore", ConfigLevel::kCentralized, 181763ULL, 4422ULL, 4317317305918343935ULL},
     {"petstore", ConfigLevel::kRemoteFacade, 141198ULL, 4422ULL, 7989329386871995858ULL},

@@ -75,6 +75,112 @@ TEST(SimulatorTest, HandlerCanScheduleMoreEvents) {
   EXPECT_EQ(sim.now(), SimTime::origin() + ms(5));
 }
 
+// --- lookahead domains: the (time, owner domain, per-owner seq) order -------
+
+TEST(DomainOrderTest, SameTimeEventsFireByOwnerDomainThenOwnerSequence) {
+  Simulator sim;
+  sim.enable_domains(3);
+  std::vector<std::string> order;
+  auto at = [&](Simulator::DomainId d, const char* tag, Duration t) {
+    Simulator::DomainScope scope(sim, d);
+    sim.schedule_at(SimTime::origin() + t, [&order, tag] { order.push_back(tag); });
+  };
+  // Insertion order interleaves the owners; same-time events must still run
+  // owner by owner, each owner's events in the order it created them.
+  at(2, "d2-first", ms(10));
+  at(0, "d0-first", ms(10));
+  at(1, "d1-first", ms(10));
+  at(2, "d2-second", ms(10));
+  at(0, "d0-second", ms(10));
+  at(2, "d2-early", ms(5));  // time still dominates the owner
+  sim.run_until();
+  EXPECT_EQ(order, (std::vector<std::string>{"d2-early", "d0-first", "d0-second", "d1-first",
+                                             "d2-first", "d2-second"}));
+}
+
+[[nodiscard]] Task<void> hop_then_schedule(Simulator& sim, std::vector<std::string>& order,
+                                           std::vector<int>& domains) {
+  co_await sim.wait_in(1, ms(5));  // sent from domain 0, lands in domain 1
+  domains.push_back(sim.current_domain());
+  sim.schedule_at(SimTime::origin() + ms(20), [&sim, &order, &domains] {
+    order.push_back("from-hop");
+    domains.push_back(sim.current_domain());
+  });
+}
+
+TEST(DomainOrderTest, WaitInContinuationRunsAsDestinationAndOwnsWhatItSchedules) {
+  Simulator sim;
+  sim.enable_domains(2);
+  std::vector<std::string> order;
+  std::vector<int> domains;
+  {
+    Simulator::DomainScope scope(sim, 0);
+    sim.spawn(hop_then_schedule(sim, order, domains));
+    // A domain-0 event at t=10 schedules a t=20 event *after* the hop's
+    // t=20 event was created (t=5). Global FIFO would run the hop's first;
+    // the tagged order runs owner 0 before owner 1.
+    sim.schedule_at(SimTime::origin() + ms(10), [&sim, &order, &domains] {
+      sim.schedule_at(SimTime::origin() + ms(20), [&sim, &order, &domains] {
+        order.push_back("from-domain-0");
+        domains.push_back(sim.current_domain());
+      });
+    });
+  }
+  sim.run_until();
+  EXPECT_EQ(order, (std::vector<std::string>{"from-domain-0", "from-hop"}));
+  // Continuation after the hop, then the two t=20 events in firing order.
+  EXPECT_EQ(domains, (std::vector<int>{1, 0, 1}));
+  // Outside event execution the caller's domain is restored.
+  EXPECT_EQ(sim.current_domain(), 0);
+}
+
+TEST(DomainOrderTest, MisuseIsRefused) {
+  Simulator sim;
+  sim.enable_domains(2);
+  EXPECT_THROW(Simulator::DomainScope(sim, 2), std::out_of_range);
+  EXPECT_THROW(sim.enable_domains(2), std::logic_error);  // already enabled
+
+  Simulator scheduled;
+  scheduled.schedule_after(ms(1), [] {});
+  EXPECT_THROW(scheduled.enable_domains(2), std::logic_error);
+
+  Simulator ran;
+  ran.schedule_after(ms(1), [] {});
+  ran.run_until();
+  ASSERT_TRUE(ran.idle());
+  EXPECT_THROW(ran.enable_domains(2), std::logic_error);
+
+  Simulator zero;
+  EXPECT_THROW(zero.enable_domains(0), std::invalid_argument);
+}
+
+[[nodiscard]] Task<void> hop_to(Simulator& sim, Simulator::DomainId dest,
+                                std::vector<std::string>& order, const char* tag) {
+  co_await sim.wait_in(dest, ms(5));
+  order.push_back(tag);
+}
+
+TEST(DomainOrderTest, BareSimulatorKeepsGlobalFifoOrder) {
+  // Without enable_domains, DomainScope and wait_in change nothing: same-time
+  // events fire in plain insertion order whatever scope created them.
+  Simulator sim;
+  std::vector<std::string> order;
+  {
+    Simulator::DomainScope scope(sim, 7);
+    sim.schedule_after(ms(5), [&order] { order.push_back("scope-7"); });
+  }
+  sim.spawn(hop_to(sim, 3, order, "hop-to-3"));
+  {
+    Simulator::DomainScope scope(sim, 1);
+    sim.schedule_after(ms(5), [&order] { order.push_back("scope-1"); });
+  }
+  sim.schedule_after(ms(5), [&order] { order.push_back("unscoped"); });
+  sim.run_until();
+  EXPECT_EQ(order,
+            (std::vector<std::string>{"scope-7", "hop-to-3", "scope-1", "unscoped"}));
+  EXPECT_EQ(sim.now(), SimTime::origin() + ms(5));
+}
+
 // --- coroutines ------------------------------------------------------------
 
 [[nodiscard]] Task<void> wait_twice(Simulator& sim, std::vector<double>& log) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 
 #include "apps/gridviz/gridviz.hpp"
 #include "apps/petstore/petstore.hpp"
@@ -50,6 +51,11 @@ const AppCase kApps[] = {
     {"rubis", &make_rubis, &cal_rubis},
     {"gridviz", &make_gridviz, &cal_gridviz},
 };
+
+// gtest would otherwise print the struct as a byte dump of its pointers,
+// which address-space randomization changes on every run; the dump lands
+// in the ctest test names, so they would differ from build to build.
+void PrintTo(const AppCase& c, std::ostream* os) { *os << c.name; }
 
 std::unique_ptr<Experiment> run(const AppCase& c, ConfigLevel level, double seconds = 500,
                                 double warmup = 100) {

@@ -267,12 +267,6 @@ core::ExperimentSpec single_request_spec(core::ConfigLevel level) {
   spec.level = level;
   spec.duration = sim::sec(1);
   spec.warmup = sim::Duration::zero();
-  // These probes drive client coroutines from the harness thread, which
-  // executes in the main island — a remote page then crosses domains at LAN
-  // latency, which the windowed executor rightly rejects as a lookahead
-  // violation. Pin the sequential loop so the probes also pass under a
-  // fleet-wide MUTSVC_PAR_DOMAINS (the CI par rows).
-  spec.parallel_domains = 0;
   return spec;
 }
 
@@ -358,10 +352,6 @@ TEST(MetricsSamplingTest, EnableMetricsDoesNotPerturbTheRun) {
   spec.level = core::ConfigLevel::kStatefulComponentCaching;
   spec.duration = sim::sec(150);
   spec.warmup = sim::sec(30);
-  // The metrics sampler reads every node's gauges from one domain, which the
-  // windowed executor refuses — pin the sequential loop so this test also
-  // passes under a fleet-wide MUTSVC_PAR_DOMAINS (e.g. the CI par rows).
-  spec.parallel_domains = 0;
 
   core::Experiment plain{app.driver(), spec, core::petstore_calibration()};
   plain.run();

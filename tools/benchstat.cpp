@@ -3,15 +3,18 @@
 // Usage:
 //   benchstat OLD.json NEW.json [--max-regression 0.25]
 //
-// Compares every throughput metric (`*_per_sec`) present in both files and
-// prints an old/new/delta table for all shared metrics. Exits 1 when any
-// shared throughput metric in NEW is more than --max-regression below OLD
-// (default 25%, matching the CI perf-smoke gate). Deterministic metrics
-// (no `wall_` prefix) are additionally required to match exactly — a
-// changed `events` count means the simulation trajectory changed, which is
-// a correctness bug, not a perf delta. Histogram-derived metrics (`hist_`
-// prefix or `_bucket` suffix convention from perfjson.hpp) are simulated
-// counts: strictly deterministic, never throughput-gated.
+// Every metric in OLD (the baseline) must be present in NEW: a missing one
+// prints a `MISSING <benchmark>/<metric>` line and fails the comparison, so
+// a bench that silently stops running a workload cannot pass its gate.
+// Metrics only in NEW are ignored. For every shared metric an
+// old/new/delta row is printed. Exits 1 when any throughput metric
+// (`*_per_sec`) in NEW is more than --max-regression below OLD (default
+// 25%, matching the CI perf-smoke gate). Deterministic metrics (no `wall_`
+// prefix) are additionally required to match exactly — a changed `events`
+// count means the simulation trajectory changed, which is a correctness
+// bug, not a perf delta. Histogram-derived metrics (`hist_` prefix or
+// `_bucket` suffix convention from perfjson.hpp) are simulated counts:
+// strictly deterministic, never throughput-gated.
 //
 // The parser handles exactly the subset of JSON that perfjson.hpp emits
 // (string keys, numeric values, fixed nesting); it is not a general JSON
@@ -128,9 +131,15 @@ int main(int argc, char** argv) {
   std::printf("%-52s %14s %14s %9s\n", "metric", "old", "new", "delta");
   bool regressed = false;
   bool determinism_broken = false;
+  bool missing = false;
   for (const auto& [name, oldv] : oldf.metrics) {
     auto it = newmap.find(name);
-    if (it == newmap.end()) continue;
+    if (it == newmap.end()) {
+      std::fprintf(stderr, "benchstat: MISSING %s (in %s, absent from %s)\n", name.c_str(),
+                   files[0].c_str(), files[1].c_str());
+      missing = true;
+      continue;
+    }
     const double newv = it->second;
     const double delta = oldv != 0.0 ? (newv - oldv) / oldv : 0.0;
     std::printf("%-52s %14.6g %14.6g %+8.1f%%\n", name.c_str(), oldv, newv, delta * 100.0);
@@ -151,7 +160,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (regressed || determinism_broken) return 1;
+  if (regressed || determinism_broken || missing) return 1;
   std::cout << "benchstat: OK (max regression " << max_regression * 100.0 << "%)\n";
   return 0;
 }

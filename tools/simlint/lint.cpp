@@ -505,17 +505,13 @@ void rule_lock_balance(const FileCtx& ctx, std::vector<Finding>& out) {
 
 // --- rule: sim-shared-across-threads -----------------------------------------
 
-/// The simulation kernel executes single-threaded by default: a Simulator,
-/// its event heap, and everything hanging off it must be confined to one
-/// thread. A file that both names the Simulator type and spawns OS threads
-/// is the signature of sharing a simulation across threads. The sanctioned
-/// crossing points are (a) core/sweep.cpp, which fans out *whole trials* —
-/// each thread owns its own Simulator — and its test, and (b)
-/// sim/parallel.cpp, the windowed lookahead-domain executor, where each
-/// worker owns one domain's shard of a single Simulator and cross-domain
-/// traffic moves only through index-addressed barrier outboxes. Both carry
-/// explicit allow markers; everything else must keep simulation state off
-/// OS threads.
+/// The simulation kernel is single-threaded: a Simulator, its event heap,
+/// and everything hanging off it must be confined to one thread. A file
+/// that both names the Simulator type and spawns OS threads is the
+/// signature of sharing a simulation across threads. The one sanctioned
+/// crossing point is core/sweep.cpp, which fans out *whole trials* — each
+/// thread owns its own Simulator — and its test; both carry explicit allow
+/// markers, and everything else must keep simulation state off OS threads.
 void rule_sim_shared_across_threads(const FileCtx& ctx, std::vector<Finding>& out) {
   bool names_simulator = false;
   for (const std::string& line : ctx.code) {
@@ -532,8 +528,8 @@ void rule_sim_shared_across_threads(const FileCtx& ctx, std::vector<Finding>& ou
         add_finding(out, ctx, static_cast<int>(i + 1), "sim-shared-across-threads",
                     std::string("'") + tok +
                         "' in a file that names sim::Simulator — simulation state is "
-                        "thread-confined; parallelize whole trials via core::sweep or "
-                        "within-trial windows via the sim/parallel.cpp executor instead");
+                        "thread-confined; parallelize whole trials via core::sweep "
+                        "instead");
       }
     }
   }
@@ -542,10 +538,9 @@ void rule_sim_shared_across_threads(const FileCtx& ctx, std::vector<Finding>& ou
 // --- rule: cross-node-state --------------------------------------------------
 
 /// Per-node replica state (read-only caches, query caches, JDBC clients,
-/// store-and-forward write queues) lives in node-keyed containers. Under
-/// per-node event queues (ROADMAP item 2) reaching into one of those
-/// containers directly is how an event on node A silently touches node B's
-/// state without a Network/Topic edge bounding the lookahead window. The
+/// store-and-forward write queues) lives in node-keyed containers. Reaching
+/// into one of those containers directly is how an event on node A
+/// silently touches node B's state without a Network/Topic edge. The
 /// sanctioned doors are the node-checked accessors; any direct subscript /
 /// member call on a node-keyed container in component/cache/db code is
 /// flagged and must carry an explicit allow.
