@@ -123,16 +123,15 @@ void GridVizApp::define_components() {
   auto& web = app_.define("VizWeb", ComponentKind::kServlet);
   auto facade_page = [&](const char* name, sim::Duration latency, const char* bean,
                          const char* method, net::Bytes bytes) {
-    std::string bean_s = bean;
-    std::string method_s = method;
+    const comp::MethodRef callee = app_.method_ref(bean, method);
     web.method({.name = name,
                 .cpu = cal_.page_cpu,
                 .latency = latency,
                 .result_bytes = bytes,
-                .body = [bean_s, method_s](CallContext& ctx) -> Task<void> {
+                .body = [callee](CallContext& ctx) -> Task<void> {
                   std::vector<Value> args;
                   for (std::size_t i = 0; i < ctx.arg_count(); ++i) args.push_back(ctx.arg(i));
-                  auto res = co_await ctx.call(bean_s, method_s, std::move(args));
+                  auto res = co_await ctx.call(callee, std::move(args));
                   ctx.result = std::move(res.rows);
                 }});
   };
@@ -142,9 +141,11 @@ void GridVizApp::define_components() {
               .cpu = cal_.page_cpu,
               .latency = cal_.frame_latency,
               .result_bytes = cal_.frame_tile_bytes,
-              .body = [](CallContext& ctx) -> Task<void> {
-                (void)co_await ctx.call("SessionState", "updateViewport", {});
-                auto res = co_await ctx.call("SB_FrameServer", "getFrame", ctx.arg(0));
+              .body = [update_viewport = app_.method_ref("SessionState", "updateViewport"),
+                       get_frame = app_.method_ref("SB_FrameServer", "getFrame")](
+                          CallContext& ctx) -> Task<void> {
+                (void)co_await ctx.call(update_viewport, {});
+                auto res = co_await ctx.call(get_frame, ctx.arg(0));
                 ctx.result = std::move(res.rows);
               }});
   facade_page("scrub", cal_.frame_latency, "SB_FrameServer", "getScrubStrip", 6 * 1024);

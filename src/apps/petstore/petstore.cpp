@@ -146,6 +146,19 @@ void PetStoreApp::define_components() {
   app_.define("CatalogWebImpl", ComponentKind::kJavaBean).local_interface_only();
 
   // ----- web tier -------------------------------------------------------------
+  // The façade methods the pages call, resolved once here: a page body never
+  // looks a component or method up by name.
+  const comp::MethodRef get_products = app_.method_ref("Catalog", "getProducts");
+  const comp::MethodRef get_items = app_.method_ref("Catalog", "getItems");
+  const comp::MethodRef get_item = app_.method_ref("Catalog", "getItem");
+  const comp::MethodRef search = app_.method_ref("Catalog", "search");
+  const comp::MethodRef authenticate = app_.method_ref("SignOn", "authenticate");
+  const comp::MethodRef get_profile = app_.method_ref("Customer", "getProfile");
+  const comp::MethodRef add_item = app_.method_ref("ShoppingCart", "addItem");
+  const comp::MethodRef cart_items = app_.method_ref("ShoppingCart", "getItems");
+  const comp::MethodRef handle_event = app_.method_ref("ShoppingClientController", "handleEvent");
+  const comp::MethodRef commit_order = app_.method_ref("OrderProcessor", "commitOrder");
+
   auto& web = app_.define("PetStoreWeb", ComponentKind::kServlet);
 
   web.method({.name = "main", .cpu = cal_.page_cpu, .latency = cal_.main_latency,
@@ -155,9 +168,9 @@ void PetStoreApp::define_components() {
               .cpu = cal_.page_cpu,
               .latency = cal_.category_latency,
               .result_bytes = 6 * 1024,
-              .body = [](CallContext& ctx) -> Task<void> {
+              .body = [get_products](CallContext& ctx) -> Task<void> {
                 if (ctx.has(Feature::kRemoteFacade)) {
-                  auto res = co_await ctx.call("Catalog", "getProducts", ctx.arg(0));
+                  auto res = co_await ctx.call(get_products, ctx.arg(0));
                   ctx.result = std::move(res.rows);
                 } else {
                   co_await n_plus_1_fetch(
@@ -169,9 +182,9 @@ void PetStoreApp::define_components() {
               .cpu = cal_.page_cpu,
               .latency = cal_.product_latency,
               .result_bytes = 6 * 1024,
-              .body = [](CallContext& ctx) -> Task<void> {
+              .body = [get_items](CallContext& ctx) -> Task<void> {
                 if (ctx.has(Feature::kRemoteFacade)) {
-                  auto res = co_await ctx.call("Catalog", "getItems", ctx.arg(0));
+                  auto res = co_await ctx.call(get_items, ctx.arg(0));
                   ctx.result = std::move(res.rows);
                 } else {
                   co_await n_plus_1_fetch(
@@ -183,9 +196,9 @@ void PetStoreApp::define_components() {
               .cpu = cal_.page_cpu,
               .latency = cal_.item_latency,
               .result_bytes = 5 * 1024,
-              .body = [](CallContext& ctx) -> Task<void> {
+              .body = [get_item](CallContext& ctx) -> Task<void> {
                 if (ctx.has(Feature::kRemoteFacade)) {
-                  auto res = co_await ctx.call("Catalog", "getItem", ctx.arg(0));
+                  auto res = co_await ctx.call(get_item, ctx.arg(0));
                   ctx.result = std::move(res.rows);
                 } else {
                   auto item = co_await ctx.direct_query(Query::pk_lookup("item", ctx.arg_int(0)));
@@ -200,9 +213,9 @@ void PetStoreApp::define_components() {
               .cpu = cal_.page_cpu,
               .latency = cal_.search_latency,
               .result_bytes = 6 * 1024,
-              .body = [](CallContext& ctx) -> Task<void> {
+              .body = [search](CallContext& ctx) -> Task<void> {
                 if (ctx.has(Feature::kRemoteFacade)) {
-                  auto res = co_await ctx.call("Catalog", "search", ctx.arg(0));
+                  auto res = co_await ctx.call(search, ctx.arg(0));
                   ctx.result = std::move(res.rows);
                 } else {
                   auto res = co_await ctx.direct_query(
@@ -218,23 +231,23 @@ void PetStoreApp::define_components() {
               .cpu = cal_.page_cpu,
               .latency = cal_.verify_latency,
               .result_bytes = 4 * 1024,
-              .body = [](CallContext& ctx) -> Task<void> {
+              .body = [authenticate, get_profile](CallContext& ctx) -> Task<void> {
                 // §4.2: "the only exception is the Verify Signin page, which
                 // makes two RMI calls": create the Customer session + fetch
                 // the profile.
-                (void)co_await ctx.call("SignOn", "authenticate", ctx.arg(0));
-                (void)co_await ctx.call("Customer", "getProfile", ctx.arg(0));
+                (void)co_await ctx.call(authenticate, ctx.arg(0));
+                (void)co_await ctx.call(get_profile, ctx.arg(0));
               }});
 
   web.method({.name = "cart",
               .cpu = cal_.page_cpu,
               .latency = cal_.cart_latency,
               .result_bytes = 5 * 1024,
-              .body = [](CallContext& ctx) -> Task<void> {
-                (void)co_await ctx.call("ShoppingCart", "addItem", ctx.arg(0));
+              .body = [add_item, get_item](CallContext& ctx) -> Task<void> {
+                (void)co_await ctx.call(add_item, ctx.arg(0));
                 // Render the updated cart: item details + availability.
                 if (ctx.has(Feature::kRemoteFacade)) {
-                  auto res = co_await ctx.call("Catalog", "getItem", ctx.arg(0));
+                  auto res = co_await ctx.call(get_item, ctx.arg(0));
                   ctx.result = std::move(res.rows);
                 } else {
                   auto item = co_await ctx.direct_query(Query::pk_lookup("item", ctx.arg_int(0)));
@@ -249,16 +262,16 @@ void PetStoreApp::define_components() {
               .cpu = cal_.page_cpu,
               .latency = cal_.checkout_latency,
               .result_bytes = 4 * 1024,
-              .body = [](CallContext& ctx) -> Task<void> {
-                (void)co_await ctx.call("ShoppingCart", "getItems", {});
+              .body = [cart_items](CallContext& ctx) -> Task<void> {
+                (void)co_await ctx.call(cart_items, {});
               }});
 
   web.method({.name = "placeorder",
               .cpu = cal_.page_cpu,
               .latency = cal_.placeorder_latency,
               .result_bytes = 4 * 1024,
-              .body = [](CallContext& ctx) -> Task<void> {
-                (void)co_await ctx.call("ShoppingClientController", "handleEvent", {});
+              .body = [handle_event](CallContext& ctx) -> Task<void> {
+                (void)co_await ctx.call(handle_event, {});
               }});
 
   web.method({.name = "billing", .cpu = cal_.page_cpu, .latency = cal_.billing_latency,
@@ -268,8 +281,8 @@ void PetStoreApp::define_components() {
               .cpu = cal_.page_cpu,
               .latency = cal_.commit_latency,
               .result_bytes = 4 * 1024,
-              .body = [](CallContext& ctx) -> Task<void> {
-                (void)co_await ctx.call("OrderProcessor", "commitOrder", ctx.arg(0), ctx.arg(1));
+              .body = [commit_order](CallContext& ctx) -> Task<void> {
+                (void)co_await ctx.call(commit_order, ctx.arg(0), ctx.arg(1));
               }});
 
   web.method({.name = "signout", .cpu = cal_.page_cpu, .latency = cal_.signout_latency,

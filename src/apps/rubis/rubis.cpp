@@ -125,13 +125,14 @@ void RubisApp::define_components() {
                      Query::finder("users", "nickname", ctx.arg(0)));
                  ctx.result = std::move(res.rows);
                }});
+  const comp::MethodRef authenticate = app_.method_ref("SB_Auth", "authenticate");
 
   auto& put_bid = app_.define("SB_PutBid", ComponentKind::kStatelessSessionBean);
   put_bid.method({.name = "buildForm",
                   .cpu = cal_.ejb_cpu,
-                  .body = [](CallContext& ctx) -> Task<void> {
+                  .body = [authenticate](CallContext& ctx) -> Task<void> {
                     // Verify credentials, then show current item state.
-                    (void)co_await ctx.call("SB_Auth", "authenticate", ctx.arg(0));
+                    (void)co_await ctx.call(authenticate, ctx.arg(0));
                     auto item = co_await ctx.read_entity("Item", ctx.arg_int(1));
                     if (item) ctx.result.push_back(std::move(*item));
                   }});
@@ -165,8 +166,8 @@ void RubisApp::define_components() {
   auto& put_comment = app_.define("SB_PutComment", ComponentKind::kStatelessSessionBean);
   put_comment.method({.name = "buildForm",
                       .cpu = cal_.ejb_cpu,
-                      .body = [](CallContext& ctx) -> Task<void> {
-                        (void)co_await ctx.call("SB_Auth", "authenticate", ctx.arg(0));
+                      .body = [authenticate](CallContext& ctx) -> Task<void> {
+                        (void)co_await ctx.call(authenticate, ctx.arg(0));
                         auto user = co_await ctx.read_entity("User", ctx.arg_int(1));
                         if (user) ctx.result.push_back(std::move(*user));
                       }});
@@ -208,16 +209,15 @@ void RubisApp::define_components() {
 
   auto facade_page = [&](const char* name, sim::Duration latency, const char* bean,
                          const char* method, net::Bytes bytes) {
-    std::string bean_s = bean;
-    std::string method_s = method;
+    const comp::MethodRef callee = app_.method_ref(bean, method);
     web.method({.name = name,
                 .cpu = cal_.page_cpu,
                 .latency = latency,
                 .result_bytes = bytes,
-                .body = [bean_s, method_s](CallContext& ctx) -> Task<void> {
+                .body = [callee](CallContext& ctx) -> Task<void> {
                   std::vector<Value> args;
                   for (std::size_t i = 0; i < ctx.arg_count(); ++i) args.push_back(ctx.arg(i));
-                  auto res = co_await ctx.call(bean_s, method_s, std::move(args));
+                  auto res = co_await ctx.call(callee, std::move(args));
                   ctx.result = std::move(res.rows);
                 }});
   };

@@ -2,10 +2,30 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <unordered_map>
 
 namespace mutsvc::cache {
+
+/// An entity instance's version key: the runtime's dense entity id and the
+/// primary key.
+struct EntityKey {
+  std::uint32_t entity = 0;
+  std::int64_t pk = 0;
+
+  bool operator==(const EntityKey&) const = default;
+};
+
+struct EntityKeyHash {
+  std::size_t operator()(const EntityKey& k) const noexcept {
+    // splitmix64 finalizer over the packed pair.
+    std::uint64_t x = static_cast<std::uint64_t>(k.pk) * 0x9e3779b97f4a7c15ULL + k.entity;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    return static_cast<std::size_t>(x ^ (x >> 31));
+  }
+};
 
 /// Tracks the master version of every entity and query result, and counts
 /// how often edge reads observed stale state.
@@ -16,10 +36,12 @@ namespace mutsvc::cache {
 /// claim into a measurable invariant: tests assert stale_reads() == 0 under
 /// blocking push, and the staleness ablation bench quantifies the async
 /// trade-off.
+///
+/// Two key spaces share the accounting: entity instances (EntityKey) and
+/// string keys (query results' cache keys).
 class ConsistencyTracker {
  public:
-  /// Bumps and returns the master version for `key`
-  /// (e.g. "Item:42" or a query cache key).
+  /// Bumps and returns the master version for string key `key`.
   std::uint64_t bump(const std::string& key) {
     const std::uint64_t v = allocate(key);
     advance_to(key, v);
@@ -32,40 +54,32 @@ class ConsistencyTracker {
   /// installs them at replicas first and only then advances the master
   /// (advance_to), which is what makes blocking push zero-staleness even
   /// under write-write concurrency on a shared query key.
-  std::uint64_t allocate(const std::string& key) {
-    std::uint64_t& a = allocated_[key];
-    a = std::max(a, master_version(key)) + 1;
-    return a;
-  }
+  std::uint64_t allocate(const std::string& key) { return queries_.allocate(key); }
+  std::uint64_t allocate(const EntityKey& key) { return entities_.allocate(key); }
 
   /// Advances the readable master version to at least `v`.
-  void advance_to(const std::string& key, std::uint64_t v) {
-    std::uint64_t& m = versions_[key];
-    m = std::max(m, v);
-    // Reclaim the allocation entry once the master has caught up with every
-    // version handed out for this key: allocate() re-derives from the master,
-    // so the entry only needs to outlive in-flight transactions.
-    auto it = allocated_.find(key);
-    if (it != allocated_.end() && it->second <= m) allocated_.erase(it);
-  }
+  void advance_to(const std::string& key, std::uint64_t v) { queries_.advance_to(key, v); }
+  void advance_to(const EntityKey& key, std::uint64_t v) { entities_.advance_to(key, v); }
 
   /// Keys with a version allocated but not yet advanced to (in-flight
   /// transactions). Bounded by concurrency, not by keys ever written.
-  [[nodiscard]] std::size_t pending_allocations() const { return allocated_.size(); }
+  [[nodiscard]] std::size_t pending_allocations() const {
+    return queries_.allocated.size() + entities_.allocated.size();
+  }
 
   [[nodiscard]] std::uint64_t master_version(const std::string& key) const {
-    auto it = versions_.find(key);
-    return it == versions_.end() ? 0 : it->second;
+    return queries_.master(key);
+  }
+  [[nodiscard]] std::uint64_t master_version(const EntityKey& key) const {
+    return entities_.master(key);
   }
 
   /// Records that a read observed `seen_version` for `key`.
   void observe_read(const std::string& key, std::uint64_t seen_version) {
-    ++reads_;
-    std::uint64_t master = master_version(key);
-    if (seen_version < master) {
-      ++stale_reads_;
-      lag_sum_ += master - seen_version;
-    }
+    observe(master_version(key), seen_version);
+  }
+  void observe_read(const EntityKey& key, std::uint64_t seen_version) {
+    observe(master_version(key), seen_version);
   }
 
   [[nodiscard]] std::uint64_t reads() const { return reads_; }
@@ -88,8 +102,45 @@ class ConsistencyTracker {
   }
 
  private:
-  std::unordered_map<std::string, std::uint64_t> versions_;
-  std::unordered_map<std::string, std::uint64_t> allocated_;
+  /// One key space's master and allocated versions.
+  template <class Key, class Hash>
+  struct Versions {
+    std::unordered_map<Key, std::uint64_t, Hash> versions;
+    std::unordered_map<Key, std::uint64_t, Hash> allocated;
+
+    [[nodiscard]] std::uint64_t master(const Key& key) const {
+      auto it = versions.find(key);
+      return it == versions.end() ? 0 : it->second;
+    }
+
+    std::uint64_t allocate(const Key& key) {
+      std::uint64_t& a = allocated[key];
+      a = std::max(a, master(key)) + 1;
+      return a;
+    }
+
+    void advance_to(const Key& key, std::uint64_t v) {
+      std::uint64_t& m = versions[key];
+      m = std::max(m, v);
+      // Reclaim the allocation entry once the master has caught up with
+      // every version handed out for this key: allocate() re-derives from
+      // the master, so the entry only needs to outlive in-flight
+      // transactions.
+      auto it = allocated.find(key);
+      if (it != allocated.end() && it->second <= m) allocated.erase(it);
+    }
+  };
+
+  void observe(std::uint64_t master, std::uint64_t seen_version) {
+    ++reads_;
+    if (seen_version < master) {
+      ++stale_reads_;
+      lag_sum_ += master - seen_version;
+    }
+  }
+
+  Versions<std::string, std::hash<std::string>> queries_;
+  Versions<EntityKey, EntityKeyHash> entities_;
   std::uint64_t reads_ = 0;
   std::uint64_t stale_reads_ = 0;
   std::uint64_t lag_sum_ = 0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -26,14 +25,16 @@ class QueryCache {
     std::uint64_t version = 0;
   };
 
-  [[nodiscard]] std::optional<Entry> get(const std::string& key) {
+  /// The entry for `key` (counted as a hit), or null (a miss). The pointer
+  /// is valid until the next mutation of this cache.
+  [[nodiscard]] const Entry* get(const std::string& key) {
     auto it = entries_.find(key);
     if (it == entries_.end()) {
       ++misses_;
-      return std::nullopt;
+      return nullptr;
     }
     ++hits_;
-    return it->second;
+    return &it->second;
   }
 
   [[nodiscard]] bool contains(const std::string& key) const { return entries_.contains(key); }

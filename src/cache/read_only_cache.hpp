@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -30,22 +29,23 @@ class ReadOnlyCache {
 
   [[nodiscard]] const std::string& entity() const { return entity_; }
 
-  [[nodiscard]] std::optional<Entry> get(std::int64_t pk) {
+  /// The entry for `pk` (counted as a hit), or null (a miss). The pointer is
+  /// valid until the next mutation of this cache.
+  [[nodiscard]] const Entry* get(std::int64_t pk) {
     auto it = entries_.find(pk);
     if (it == entries_.end()) {
       ++misses_;
-      return std::nullopt;
+      return nullptr;
     }
     ++hits_;
-    return it->second;
+    return &it->second;
   }
 
   /// §4.3: "most application server vendors already support some form of
   /// read-only entity beans with a timeout invalidation mechanism". An
   /// entry older than `ttl` counts as a miss (and is dropped); a zero ttl
   /// disables expiry.
-  [[nodiscard]] std::optional<Entry> get_if_fresh(std::int64_t pk, sim::SimTime now,
-                                                  sim::Duration ttl) {
+  [[nodiscard]] const Entry* get_if_fresh(std::int64_t pk, sim::SimTime now, sim::Duration ttl) {
     auto it = entries_.find(pk);
     if (it != entries_.end() && ttl > sim::Duration::zero() &&
         now - it->second.refreshed_at > ttl) {
@@ -55,10 +55,10 @@ class ReadOnlyCache {
     }
     if (it == entries_.end()) {
       ++misses_;
-      return std::nullopt;
+      return nullptr;
     }
     ++hits_;
-    return it->second;
+    return &it->second;
   }
 
   [[nodiscard]] bool contains(std::int64_t pk) const { return entries_.contains(pk); }

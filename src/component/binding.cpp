@@ -45,7 +45,11 @@ net::NodeId BindingTable::resolve(const std::string& component, net::NodeId from
                                   sim::SimTime now, std::uint64_t session_key) const {
   const auto it = bindings_.find(component);
   if (it == bindings_.end()) return plan_->resolve(component, from);
-  const Binding& b = it->second;
+  return resolve(it->second, from, now, session_key);
+}
+
+net::NodeId BindingTable::resolve(const Binding& b, net::NodeId from, sim::SimTime now,
+                                  std::uint64_t session_key) {
   const sim::SimTime visible_at =
       contains(b.participants, from) ? b.flip_at : b.flip_at + b.notify_delay;
   if (now < visible_at) return resolve_in(b.prev_nodes, from);
@@ -59,7 +63,10 @@ net::NodeId BindingTable::resolve(const std::string& component, net::NodeId from
 net::NodeId BindingTable::authoritative(const std::string& component, net::NodeId at) const {
   const auto it = bindings_.find(component);
   if (it == bindings_.end()) return at;
-  const Binding& b = it->second;
+  return authoritative(it->second, at);
+}
+
+net::NodeId BindingTable::authoritative(const Binding& b, net::NodeId at) {
   // A canary deliberately routes selected sessions to the canary site; a
   // call arriving there (or at any current-binding site) is not a straggler.
   if (b.canary_fraction > 0.0 && contains(b.canary_nodes, at)) return at;
@@ -69,9 +76,7 @@ net::NodeId BindingTable::authoritative(const std::string& component, net::NodeI
 
 bool BindingTable::in_forward_epoch(const std::string& component, sim::SimTime now) const {
   const auto it = bindings_.find(component);
-  if (it == bindings_.end()) return false;
-  const Binding& b = it->second;
-  return now >= b.flip_at && now < b.flip_at + forward_epoch_;
+  return it != bindings_.end() && in_forward_epoch(it->second, now);
 }
 
 void BindingTable::flip(const std::string& component, std::vector<net::NodeId> nodes,

@@ -81,6 +81,16 @@ class BindingTable {
   /// (within forward_epoch of the last flip).
   [[nodiscard]] bool in_forward_epoch(const std::string& component, sim::SimTime now) const;
 
+  /// The same three questions for a binding already looked up with find():
+  /// the dispatch path keeps one pointer per component id (bindings are
+  /// never erased, so a pointer stays valid for the table's lifetime).
+  [[nodiscard]] static net::NodeId resolve(const Binding& b, net::NodeId from, sim::SimTime now,
+                                           std::uint64_t session_key);
+  [[nodiscard]] static net::NodeId authoritative(const Binding& b, net::NodeId at);
+  [[nodiscard]] bool in_forward_epoch(const Binding& b, sim::SimTime now) const {
+    return now >= b.flip_at && now < b.flip_at + forward_epoch_;
+  }
+
   /// Full cutover: `nodes` becomes authoritative at `now`; non-participant
   /// views converge at `now + notify_delay`. Clears any staged canary.
   void flip(const std::string& component, std::vector<net::NodeId> nodes, sim::SimTime now,

@@ -43,12 +43,20 @@ enum class QueryRefreshMode { kPull, kPush };
 /// The "extended deployment descriptor": which component runs where, which
 /// entities have read-only replicas, where query caches sit, and which
 /// design-rule features are on.
+///
+/// The plan is keyed by name; a Runtime indexes it by id once and re-indexes
+/// whenever revision() moves (every mutation bumps it, so a live migration's
+/// membership changes reach the per-call tables).
 class DeploymentPlan {
  public:
+  /// Bumped by every mutation.
+  [[nodiscard]] std::uint64_t revision() const { return revision_; }
+
   // --- component placement ------------------------------------------------
   /// Deploys `component` at `node`. The first placement is the component's
   /// primary (home) node.
   void place(const std::string& component, net::NodeId node) {
+    ++revision_;
     auto& nodes = placement_[component];
     for (auto n : nodes) {
       if (n == node) return;
@@ -93,9 +101,15 @@ class DeploymentPlan {
   }
 
   // --- features -------------------------------------------------------------
-  void enable(Feature f) { features_.insert(f); }
-  void disable(Feature f) { features_.erase(f); }
-  [[nodiscard]] bool has(Feature f) const { return features_.contains(f); }
+  void enable(Feature f) {
+    ++revision_;
+    features_ |= bit(f);
+  }
+  void disable(Feature f) {
+    ++revision_;
+    features_ &= ~bit(f);
+  }
+  [[nodiscard]] bool has(Feature f) const { return (features_ & bit(f)) != 0; }
 
   [[nodiscard]] UpdateMode update_mode() const {
     if (has(Feature::kAsyncUpdates)) return UpdateMode::kAsyncPush;
@@ -103,7 +117,10 @@ class DeploymentPlan {
     return UpdateMode::kNone;
   }
 
-  void set_query_refresh(QueryRefreshMode m) { query_refresh_ = m; }
+  void set_query_refresh(QueryRefreshMode m) {
+    ++revision_;
+    query_refresh_ = m;
+  }
   [[nodiscard]] QueryRefreshMode query_refresh() const { return query_refresh_; }
 
   /// TACT-style order-error bound for asynchronous updates (§5's
@@ -111,18 +128,21 @@ class DeploymentPlan {
   /// run at most this many update batches ahead of the slowest replica
   /// before it must block. Zero means unbounded (pure §4.5 behaviour).
   void set_staleness_bound(std::uint32_t max_outstanding_batches) {
+    ++revision_;
     staleness_bound_ = max_outstanding_batches;
   }
   [[nodiscard]] std::uint32_t staleness_bound() const { return staleness_bound_; }
 
   // --- read-only entity replicas (§4.3) --------------------------------------
   void replicate_read_only(const std::string& entity, net::NodeId node) {
+    ++revision_;
     ro_replicas_[entity].insert(node);
   }
 
   /// Removes a node from an entity's replica set (live-migration
   /// retirement / rollback). No-op if absent.
   void remove_ro_replica(const std::string& entity, net::NodeId node) {
+    ++revision_;
     auto it = ro_replicas_.find(entity);
     if (it == ro_replicas_.end()) return;
     it->second.erase(node);
@@ -145,10 +165,16 @@ class DeploymentPlan {
   }
 
   // --- query caches (§4.4) ----------------------------------------------------
-  void add_query_cache(net::NodeId node) { query_cache_nodes_.insert(node); }
+  void add_query_cache(net::NodeId node) {
+    ++revision_;
+    query_cache_nodes_.insert(node);
+  }
   /// Removes a node's query cache from the plan (live-migration retirement
   /// / rollback). No-op if absent.
-  void remove_query_cache(net::NodeId node) { query_cache_nodes_.erase(node); }
+  void remove_query_cache(net::NodeId node) {
+    ++revision_;
+    query_cache_nodes_.erase(node);
+  }
   [[nodiscard]] bool has_query_cache(net::NodeId node) const {
     return query_cache_nodes_.contains(node);
   }
@@ -158,14 +184,21 @@ class DeploymentPlan {
 
   // --- servers ------------------------------------------------------------------
   /// The main application server (co-located with the database).
-  void set_main_server(net::NodeId n) { main_server_ = n; }
+  void set_main_server(net::NodeId n) {
+    ++revision_;
+    main_server_ = n;
+  }
   [[nodiscard]] net::NodeId main_server() const { return main_server_; }
 
-  void add_edge_server(net::NodeId n) { edge_servers_.push_back(n); }
+  void add_edge_server(net::NodeId n) {
+    ++revision_;
+    edge_servers_.push_back(n);
+  }
   [[nodiscard]] const std::vector<net::NodeId>& edge_servers() const { return edge_servers_; }
 
   /// Which application server a client machine's HTTP requests enter at.
   void set_entry_point(net::NodeId client_node, net::NodeId server) {
+    ++revision_;
     entry_points_[client_node] = server;
   }
   [[nodiscard]] net::NodeId entry_point(net::NodeId client_node) const {
@@ -179,8 +212,13 @@ class DeploymentPlan {
   [[nodiscard]] std::string describe() const;
 
  private:
+  [[nodiscard]] static constexpr std::uint32_t bit(Feature f) {
+    return std::uint32_t{1} << static_cast<unsigned>(f);
+  }
+
+  std::uint64_t revision_ = 0;
   std::map<std::string, std::vector<net::NodeId>> placement_;
-  std::set<Feature> features_;
+  std::uint32_t features_ = 0;
   std::map<std::string, std::set<net::NodeId>> ro_replicas_;
   std::set<net::NodeId> query_cache_nodes_;
   std::map<net::NodeId, net::NodeId> entry_points_;

@@ -1,15 +1,13 @@
 #pragma once
 
 #include <cstdint>
-#include <set>
-#include <string>
-#include <utility>
+#include <vector>
 
 #include "net/types.hpp"
 
 namespace mutsvc::comp {
 
-/// Tracks which (caller node, component) pairs already hold RMI stubs.
+/// Tracks which (caller node, component id) pairs already hold RMI stubs.
 ///
 /// Without the EJBHomeFactory pattern (§4.2), every remote invocation pays
 /// a JNDI home lookup round trip; with it, home stubs are cached after the
@@ -18,11 +16,15 @@ class StubCache {
  public:
   /// Returns true if a stub exchange is needed (and records the stub as
   /// cached for next time).
-  bool need_stub_exchange(net::NodeId caller, const std::string& component) {
-    if (!cached_.emplace(caller, component).second) {
+  bool need_stub_exchange(net::NodeId caller, std::uint32_t component) {
+    if (caller.value() >= cached_.size()) cached_.resize(caller.value() + 1);
+    std::vector<bool>& row = cached_[caller.value()];
+    if (component >= row.size()) row.resize(component + 1, false);
+    if (row[component]) {
       ++hits_;
       return false;
     }
+    row[component] = true;
     ++misses_;
     return true;
   }
@@ -34,7 +36,7 @@ class StubCache {
   [[nodiscard]] std::uint64_t misses() const { return misses_; }
 
  private:
-  std::set<std::pair<net::NodeId, std::string>> cached_;
+  std::vector<std::vector<bool>> cached_;  // [caller node][component id]
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
 };

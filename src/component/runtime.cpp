@@ -23,21 +23,18 @@ sim::Task<void> CallContext::cpu(sim::Duration d) {
   }(rt_, node_, d, trace_);
 }
 
-namespace {
-std::string query_class(const db::Query& q) {
-  return "query:" + (q.aggregate_name.empty() ? q.table : q.aggregate_name);
+sim::Task<CallResult> CallContext::call(MethodRef callee, std::vector<db::Value> args) {
+  return rt_.call_from(node_, callee, std::move(args), comp_->id(), trace_, session_key_);
 }
-}  // namespace
 
 sim::Task<CallResult> CallContext::call(const std::string& component, const std::string& method,
                                         std::vector<db::Value> args) {
-  return rt_.call_from(node_, component, method, std::move(args), comp_->name(), trace_,
-                       session_key_);
+  return call(rt_.app().method_ref(component, method), std::move(args));
 }
 
 sim::Task<db::QueryResult> CallContext::direct_query(db::Query q) {
-  rt_.record_interaction(comp_->name(), "__database__", 400, !q.is_read());
-  if (trace_ == nullptr) return rt_.jdbc_for(node_).execute(q);
+  rt_.record_interaction(comp_->id(), rt_.database_endpoint_, 400, !q.is_read());
+  if (trace_ == nullptr) return rt_.jdbc_for(node_).execute(std::move(q));
   return [](Runtime& rt, net::NodeId node, db::Query q, TraceSink* trace)
              -> sim::Task<db::QueryResult> {
     const sim::SimTime t0 = rt.simulator().now();
@@ -49,34 +46,37 @@ sim::Task<db::QueryResult> CallContext::direct_query(db::Query q) {
 
 sim::Task<std::optional<db::Row>> CallContext::read_entity(const std::string& entity,
                                                            std::int64_t pk) {
-  rt_.record_interaction(comp_->name(), entity, 256);
-  return rt_.read_entity_impl(node_, entity, pk, trace_);
+  const EntityId id = rt_.bound_entity(entity);
+  rt_.record_interaction(comp_->id(), rt_.entities_[id].endpoint, 256);
+  return rt_.read_entity_impl(node_, id, pk, trace_);
 }
 
 sim::Task<db::QueryResult> CallContext::cached_query(db::Query q) {
-  rt_.record_interaction(comp_->name(), query_class(q), 1024);
+  rt_.record_interaction(comp_->id(), rt_.query_endpoint(q), 1024);
   return rt_.cached_query_impl(node_, std::move(q), trace_);
 }
 
 sim::Task<void> CallContext::write_entity(const std::string& entity, std::int64_t pk,
                                           std::string column, db::Value v,
                                           std::vector<db::Query> affected_queries) {
-  rt_.record_interaction(comp_->name(), entity, 256, /*is_write=*/true);
+  const EntityId id = rt_.bound_entity(entity);
+  rt_.record_interaction(comp_->id(), rt_.entities_[id].endpoint, 256, /*is_write=*/true);
   for (const auto& q : affected_queries) {
-    rt_.record_interaction(comp_->name(), query_class(q), 64, /*is_write=*/true);
+    rt_.record_interaction(comp_->id(), rt_.query_endpoint(q), 64, /*is_write=*/true);
   }
-  db::Query w = db::Query::update(rt_.entity_table(entity), pk, std::move(column), std::move(v));
-  return rt_.write_impl(this, node_, entity, std::move(w), std::move(affected_queries));
+  db::Query w = db::Query::update(rt_.entities_[id].table, pk, std::move(column), std::move(v));
+  return rt_.write_impl(this, node_, id, std::move(w), std::move(affected_queries));
 }
 
 sim::Task<void> CallContext::insert_row(const std::string& entity, db::Row row,
                                         std::vector<db::Query> affected_queries) {
-  rt_.record_interaction(comp_->name(), entity, 256, /*is_write=*/true);
+  const EntityId id = rt_.bound_entity(entity);
+  rt_.record_interaction(comp_->id(), rt_.entities_[id].endpoint, 256, /*is_write=*/true);
   for (const auto& q : affected_queries) {
-    rt_.record_interaction(comp_->name(), query_class(q), 64, /*is_write=*/true);
+    rt_.record_interaction(comp_->id(), rt_.query_endpoint(q), 64, /*is_write=*/true);
   }
-  db::Query w = db::Query::insert(rt_.entity_table(entity), std::move(row));
-  return rt_.write_impl(this, node_, entity, std::move(w), std::move(affected_queries));
+  db::Query w = db::Query::insert(rt_.entities_[id].table, std::move(row));
+  return rt_.write_impl(this, node_, id, std::move(w), std::move(affected_queries));
 }
 
 std::int64_t CallContext::allocate_id(const std::string& table) {
@@ -97,6 +97,15 @@ Runtime::Runtime(sim::Simulator& sim, net::Topology& topo, net::Network& net,
       plan_(std::move(plan)),
       cfg_(cfg),
       locks_(sim) {
+  // Endpoint ids: components first, in name order, so a ComponentId is its
+  // own endpoint; then the pseudo-components.
+  for (ComponentId c = 0; c < app_.component_count(); ++c) {
+    (void)intern_endpoint(app_.component(c).name());
+  }
+  client_endpoint_ = intern_endpoint("__client__");
+  database_endpoint_ = intern_endpoint("__database__");
+  component_gates_.resize(app_.component_count());
+  component_in_flight_.resize(app_.component_count());
   net::RmiConfig push_cfg = rmi.config();
   push_cfg.extra_rtt_prob = 0.0;
   update_rmi_ = std::make_unique<net::RmiTransport>(net_, push_cfg);
@@ -144,30 +153,135 @@ Runtime::Runtime(sim::Simulator& sim, net::Topology& topo, net::Network& net,
   }
 }
 
-void Runtime::note_read(const std::string& key, std::uint64_t seen_version) {
-  consistency_.observe_read(key, seen_version);
-  if (simcheck::enabled()) {
-    const bool invariant_applies = plan_.update_mode() == UpdateMode::kBlockingPush &&
-                                   failed_pushes_ == 0 && degraded_reads_ == 0;
-    simcheck::probe_zero_staleness(consistency_.stale_reads(), invariant_applies);
-  }
+void Runtime::probe_staleness() {
+  const bool invariant_applies = plan_.update_mode() == UpdateMode::kBlockingPush &&
+                                 failed_pushes_ == 0 && degraded_reads_ == 0;
+  simcheck::probe_zero_staleness(consistency_.stale_reads(), invariant_applies);
 }
 
-const std::string& Runtime::entity_table(const std::string& entity) const {
-  auto it = entity_tables_.find(entity);
-  if (it == entity_tables_.end()) {
-    throw std::invalid_argument("Runtime: entity not bound to a table: " + entity);
+std::uint32_t Runtime::intern_endpoint(std::string_view name) {
+  if (auto it = endpoint_ids_.find(name); it != endpoint_ids_.end()) return it->second;
+  const auto id = static_cast<std::uint32_t>(endpoint_names_.size());
+  endpoint_names_.emplace_back(name);
+  endpoint_ids_.emplace(std::string(name), id);
+  return id;
+}
+
+std::uint32_t Runtime::query_endpoint(const db::Query& q) {
+  const std::string& name = q.aggregate_name.empty() ? q.table : q.aggregate_name;
+  if (auto it = query_endpoints_.find(name); it != query_endpoints_.end()) return it->second;
+  const std::uint32_t id = intern_endpoint("query:" + name);
+  query_endpoints_.emplace(name, id);
+  return id;
+}
+
+EntityId Runtime::intern_entity(std::string_view name) {
+  if (auto it = entity_ids_.find(name); it != entity_ids_.end()) return it->second;
+  const auto id = static_cast<EntityId>(entities_.size());
+  Entity& e = entities_.emplace_back();
+  e.name = std::string(name);
+  e.endpoint = intern_endpoint(name);
+  entity_ids_.emplace(e.name, id);
+  index_.built = false;  // the plan index sizes its tables by entity
+  return id;
+}
+
+EntityId Runtime::bound_entity(std::string_view name) const {
+  auto it = entity_ids_.find(name);
+  if (it == entity_ids_.end() || !entities_[it->second].bound) {
+    throw std::invalid_argument("Runtime: entity not bound to a table: " + std::string(name));
   }
   return it->second;
 }
 
-cache::ReadOnlyCache& Runtime::ro_cache(net::NodeId node, const std::string& entity) {
-  auto key = std::make_pair(node, entity);
-  auto it = ro_caches_.find(key);  // simlint:allow(cross-node-state) — node-checked accessor: the single sanctioned door to per-node RO caches
-  if (it == ro_caches_.end()) {  // simlint:allow(cross-node-state) — node-checked accessor (lazy creation)
-    it = ro_caches_.emplace(key, std::make_unique<cache::ReadOnlyCache>(entity)).first;  // simlint:allow(cross-node-state) — node-checked accessor (lazy creation)
+void Runtime::reindex_plan() {
+  // Every entity the plan names gets an id first (interning resets `built`).
+  for (const auto& [entity, nodes] : plan_.ro_replicas()) (void)intern_entity(entity);
+  PlanIndex& idx = index_;
+  idx.placement.assign(app_.component_count(), {});
+  for (const auto& [component, nodes] : plan_.placements()) {
+    if (app_.has_component(component)) idx.placement[app_.component(component).id()] = nodes;
   }
-  return *it->second;
+  idx.ro_member.assign(entities_.size(), {});
+  idx.ro_any.assign(entities_.size(), 0);
+  for (const auto& [entity, nodes] : plan_.ro_replicas()) {
+    const EntityId id = entity_ids_.find(entity)->second;
+    for (net::NodeId n : nodes) {
+      auto& row = idx.ro_member[id];
+      if (n.value() >= row.size()) row.resize(n.value() + 1, 0);
+      row[n.value()] = 1;
+    }
+    idx.ro_any[id] = nodes.empty() ? 0 : 1;
+  }
+  idx.query_cache.clear();
+  for (net::NodeId n : plan_.query_cache_nodes()) {
+    if (n.value() >= idx.query_cache.size()) idx.query_cache.resize(n.value() + 1, 0);
+    idx.query_cache[n.value()] = 1;
+  }
+  // Replica nodes in entity-name order, then query-cache nodes, each once.
+  idx.update_targets.clear();
+  auto add = [&](net::NodeId n) {
+    if (n == plan_.main_server()) return;
+    for (auto t : idx.update_targets) {
+      if (t == n) return;
+    }
+    idx.update_targets.push_back(n);
+  };
+  for (const auto& [entity, nodes] : plan_.ro_replicas()) {
+    for (auto n : nodes) add(n);
+  }
+  for (auto n : plan_.query_cache_nodes()) add(n);
+  idx.revision = plan_.revision();
+  idx.built = true;
+}
+
+net::NodeId Runtime::resolve_in_plan(ComponentId component, net::NodeId from) {
+  const std::vector<net::NodeId>& nodes = plan_index().placement[component];
+  if (nodes.empty()) {
+    throw std::invalid_argument("DeploymentPlan: component not placed: " +
+                                app_.component(component).name());
+  }
+  for (net::NodeId n : nodes) {
+    if (n == from) return from;
+  }
+  return nodes.front();
+}
+
+const BindingTable::Binding* Runtime::binding_for(ComponentId component) {
+  if (bindings_->bound_components() != bound_seen_) {
+    // Bindings are only ever added, and map nodes never move: a binding's
+    // pointer, once found, stays valid.
+    for (ComponentId c = 0; c < binding_of_.size(); ++c) {
+      binding_of_[c] = bindings_->find(app_.component(c).name());
+    }
+    bound_seen_ = bindings_->bound_components();
+  }
+  return binding_of_[component];
+}
+
+Runtime::InteractionProfile Runtime::interaction_profile() const {
+  InteractionProfile out;
+  for (std::uint32_t caller = 0; caller < profile_.size(); ++caller) {
+    const std::vector<InteractionStat>& row = profile_[caller];
+    for (std::uint32_t callee = 0; callee < row.size(); ++callee) {
+      if (row[callee].calls == 0) continue;
+      out.emplace(std::make_pair(endpoint_names_[caller], endpoint_names_[callee]), row[callee]);
+    }
+  }
+  return out;
+}
+
+cache::ReadOnlyCache& Runtime::ro_cache(net::NodeId node, const std::string& entity) {
+  return ro_cache(node, intern_entity(entity));
+}
+
+cache::ReadOnlyCache& Runtime::ro_cache(net::NodeId node, EntityId entity) {
+  Entity& e = entities_[entity];
+  if (node.value() >= e.ro_caches.size()) e.ro_caches.resize(node.value() + 1);
+  // The single door to per-node RO caches.
+  std::unique_ptr<cache::ReadOnlyCache>& c = e.ro_caches[node.value()];
+  if (c == nullptr) c = std::make_unique<cache::ReadOnlyCache>(e.name);
+  return *c;
 }
 
 cache::QueryCache& Runtime::query_cache(net::NodeId node) {
@@ -179,28 +293,28 @@ cache::QueryCache& Runtime::query_cache(net::NodeId node) {
 }
 
 void Runtime::reset_cache_stats() {
-  for (auto& [key, cache] : ro_caches_) cache->reset_stats();
+  for (Entity& e : entities_) {
+    for (auto& cache : e.ro_caches) {
+      if (cache != nullptr) cache->reset_stats();
+    }
+  }
   for (auto& [node, qc] : query_caches_) qc->reset_stats();
   forwarded_calls_ = 0;
   late_stragglers_ = 0;
 }
 
 net::CreditGate& Runtime::component_gate(const std::string& component) {
-  auto it = component_gates_.find(component);
-  if (it == component_gates_.end()) {
-    it = component_gates_.emplace(component, std::make_unique<net::CreditGate>(sim_)).first;
-  }
-  return *it->second;
+  std::unique_ptr<net::CreditGate>& gate = component_gates_[app_.component(component).id()];
+  if (gate == nullptr) gate = std::make_unique<net::CreditGate>(sim_);
+  return *gate;
 }
 
 net::CreditGate* Runtime::find_component_gate(const std::string& component) {
-  auto it = component_gates_.find(component);
-  return it == component_gates_.end() ? nullptr : it->second.get();
+  return component_gates_[app_.component(component).id()].get();
 }
 
 std::uint64_t Runtime::component_in_flight(const std::string& component) const {
-  auto it = component_in_flight_.find(component);
-  return it == component_in_flight_.end() ? 0 : it->second;
+  return component_in_flight_[app_.component(component).id()];
 }
 
 void Runtime::ensure_update_subscription(net::NodeId node) {
@@ -257,8 +371,13 @@ sim::Task<std::uint64_t> Runtime::transfer_replica_state(net::NodeId from, net::
 void Runtime::clear_replica_state(net::NodeId node, const std::vector<std::string>& entities,
                                   bool move_query_cache) {
   for (const std::string& entity : entities) {
-    auto it = ro_caches_.find(std::make_pair(node, entity));  // simlint:allow(cross-node-state) — migration retirement/rollback clears the named node's own replica
-    if (it != ro_caches_.end()) it->second->invalidate_all();
+    auto it = entity_ids_.find(entity);
+    if (it == entity_ids_.end()) continue;
+    const auto& caches = entities_[it->second].ro_caches;
+    // Migration retirement/rollback clears the named node's own replica.
+    if (node.value() < caches.size() && caches[node.value()] != nullptr) {
+      caches[node.value()]->invalidate_all();
+    }
   }
   if (move_query_cache) {
     auto it = query_caches_.find(node);  // simlint:allow(cross-node-state) — migration retirement/rollback clears the named node's own replica
@@ -267,17 +386,30 @@ void Runtime::clear_replica_state(net::NodeId node, const std::vector<std::strin
 }
 
 void Runtime::sample_metrics(sim::SimTime now, sim::Duration window) {
-  for (const auto& [key, cache] : ro_caches_) {
-    stats::MetricsRegistry& m = metrics(key.first);
-    const std::string p = "rocache." + key.second + ".";
-    m.set_counter(p + "hits", cache->hits());
-    m.set_counter(p + "misses", cache->misses());
-    m.set_counter(p + "pushes_applied", cache->pushes_applied());
-    m.set_counter(p + "invalidations", cache->invalidations());
-    m.set_counter(p + "stale_fills_rejected", cache->stale_fills_rejected());
-    m.set_counter(p + "stale_pushes_rejected", cache->stale_pushes_rejected());
-    m.set_gauge(p + "hit_rate", cache->hit_rate());
-    m.series(p + "size", window).add(now, static_cast<double>(cache->size()));
+  // Replicas in (node, entity name) order.
+  std::vector<const Entity*> by_name;
+  std::size_t nodes = 0;
+  for (const Entity& e : entities_) {
+    by_name.push_back(&e);
+    nodes = std::max(nodes, e.ro_caches.size());
+  }
+  std::sort(by_name.begin(), by_name.end(),
+            [](const Entity* a, const Entity* b) { return a->name < b->name; });
+  for (std::uint32_t n = 0; n < nodes; ++n) {
+    for (const Entity* e : by_name) {
+      if (n >= e->ro_caches.size() || e->ro_caches[n] == nullptr) continue;
+      const cache::ReadOnlyCache* cache = e->ro_caches[n].get();
+      stats::MetricsRegistry& m = metrics(net::NodeId{n});
+      const std::string p = "rocache." + e->name + ".";
+      m.set_counter(p + "hits", cache->hits());
+      m.set_counter(p + "misses", cache->misses());
+      m.set_counter(p + "pushes_applied", cache->pushes_applied());
+      m.set_counter(p + "invalidations", cache->invalidations());
+      m.set_counter(p + "stale_fills_rejected", cache->stale_fills_rejected());
+      m.set_counter(p + "stale_pushes_rejected", cache->stale_pushes_rejected());
+      m.set_gauge(p + "hit_rate", cache->hit_rate());
+      m.series(p + "size", window).add(now, static_cast<double>(cache->size()));
+    }
   }
   for (const auto& [node, qc] : query_caches_) {
     stats::MetricsRegistry& m = metrics(node);
@@ -353,8 +485,10 @@ void Runtime::sample_metrics(sim::SimTime now, sim::Duration window) {
 
 void Runtime::clear_node_caches(net::NodeId node) {
   ++cache_rewarms_;
-  for (auto& [key, cache] : ro_caches_) {
-    if (key.first == node) cache->invalidate_all();
+  for (Entity& e : entities_) {
+    if (node.value() < e.ro_caches.size() && e.ro_caches[node.value()] != nullptr) {
+      e.ro_caches[node.value()]->invalidate_all();
+    }
   }
   auto qit = query_caches_.find(node);  // simlint:allow(cross-node-state) — crash re-warm clears the restarted node's own replica, not another node's
   if (qit != query_caches_.end()) qit->second->clear();  // simlint:allow(cross-node-state) — crash re-warm clears the restarted node's own replica, not another node's
@@ -362,12 +496,6 @@ void Runtime::clear_node_caches(net::NodeId node) {
   // StubCache is keyed per (node, component) but has no per-node erase, and
   // stub re-acquisition is cheap — clearing it all models the cold start.
   stubs_.clear();
-}
-
-bool Runtime::within_staleness_bound(const std::string& vkey, std::uint64_t version) {
-  const std::uint32_t bound = plan_.staleness_bound();
-  if (bound == 0) return true;  // degraded mode accepts any age
-  return consistency_.master_version(vkey) - version <= bound;
 }
 
 msg::Topic<Runtime::QueuedWrite>& Runtime::write_queue(net::NodeId edge) {
@@ -417,7 +545,7 @@ db::JdbcClient& Runtime::jdbc_for(net::NodeId node) {
   return *it->second;
 }
 
-net::Bytes Runtime::values_bytes(const std::vector<db::Value>& vals) {
+net::Bytes Runtime::values_bytes(std::span<const db::Value> vals) {
   net::Bytes total = 0;
   for (const auto& v : vals) total += db::wire_size(v);
   return total;
@@ -429,20 +557,29 @@ net::Bytes Runtime::rows_bytes(const std::vector<db::Row>& rows) {
   return total;
 }
 
-sim::Task<CallResult> Runtime::invoke(net::NodeId caller_node, const std::string& component,
-                                      const std::string& method, std::vector<db::Value> args,
+sim::Task<CallResult> Runtime::invoke(net::NodeId caller_node, MethodRef callee, CallArgs args,
                                       TraceSink* trace, std::uint64_t session_key) {
-  return call_from(caller_node, component, method, std::move(args), "__client__", trace,
-                   session_key);
+  return call_from(caller_node, callee, std::move(args), client_endpoint_, trace, session_key);
 }
 
-sim::Task<CallResult> Runtime::call_from(net::NodeId caller, std::string comp_name,
-                                         std::string method_name, std::vector<db::Value> args,
-                                         std::string caller_component, TraceSink* trace,
+sim::Task<CallResult> Runtime::invoke(net::NodeId caller_node, const std::string& component,
+                                      const std::string& method, CallArgs args, TraceSink* trace,
+                                      std::uint64_t session_key) {
+  return invoke(caller_node, app_.method_ref(component, method), std::move(args), trace,
+                session_key);
+}
+
+sim::Task<CallResult> Runtime::call_from(net::NodeId caller, MethodRef callee, CallArgs args,
+                                         std::uint32_t caller_endpoint, TraceSink* trace,
                                          std::uint64_t session_key) {
-  const ComponentDef& comp = app_.component(comp_name);
-  const MethodDef& method = comp.find_method(method_name);
-  record_interaction(caller_component, comp_name, method.args_bytes + method.result_bytes);
+  if (app_.component_count() != component_gates_.size()) {
+    // A later define() renumbers the ids every per-call table is built on.
+    throw std::logic_error("Runtime: component defined after the runtime was built");
+  }
+  const ComponentDef& comp = *callee.component;
+  const MethodDef& method = *callee.method;
+  const ComponentId cid = comp.id();
+  record_interaction(caller_endpoint, cid, method.args_bytes + method.result_bytes);
 
   // In-flight accounting for migration drains; released when the coroutine
   // frame unwinds (normal return or exception). Counted only while a
@@ -456,30 +593,35 @@ sim::Task<CallResult> Runtime::call_from(net::NodeId caller, std::string comp_na
 
   net::NodeId target;
   if (bindings_ == nullptr) {
-    target = plan_.resolve(comp_name, caller);
+    target = resolve_in_plan(cid, caller);
   } else {
-    if (net::CreditGate* gate = find_component_gate(comp_name)) {
+    if (net::CreditGate* gate = component_gates_[cid].get()) {
       // Deadlock avoidance: a call tree already past a migrating
       // component's gate must run to completion (the drain waits on it); a
       // nested call between migrating components therefore bypasses the
       // gate. Only fresh entry into the migration set parks.
-      net::CreditGate* caller_gate = find_component_gate(caller_component);
+      net::CreditGate* caller_gate = caller_endpoint < component_gates_.size()
+                                         ? component_gates_[caller_endpoint].get()
+                                         : nullptr;
       const bool inside_migration = caller_gate != nullptr && !caller_gate->open();
       if (!inside_migration) co_await gate->wait();
     }
-    std::uint64_t& n = component_in_flight_[comp_name];
+    std::uint64_t& n = component_in_flight_[cid];
     ++n;
     in_flight.n = &n;
-    target = bindings_->resolve(comp_name, caller, sim_.now(), session_key);
+    const BindingTable::Binding* b = binding_for(cid);
+    target = b == nullptr ? resolve_in_plan(cid, caller)
+                          : BindingTable::resolve(*b, caller, sim_.now(), session_key);
   }
 
   // Straggler detection: a stale view may have routed this call to the old
   // site; the old site forwards to the converged authority.
   net::NodeId exec = target;
-  if (bindings_ != nullptr) {
-    const net::NodeId authority = bindings_->authoritative(comp_name, target);
+  const BindingTable::Binding* binding = bindings_ == nullptr ? nullptr : binding_for(cid);
+  if (binding != nullptr) {
+    const net::NodeId authority = BindingTable::authoritative(*binding, target);
     if (authority != target) {
-      if (bindings_->in_forward_epoch(comp_name, sim_.now())) {
+      if (bindings_->in_forward_epoch(*binding, sim_.now())) {
         ++forwarded_calls_;
       } else {
         ++late_stragglers_;
@@ -498,18 +640,18 @@ sim::Task<CallResult> Runtime::call_from(net::NodeId caller, std::string comp_na
   }
 
   if (comp.is_local_only()) {
-    throw std::logic_error("Runtime: remote invocation of local-only component " + comp_name);
+    throw std::logic_error("Runtime: remote invocation of local-only component " + comp.name());
   }
 
   // JNDI home lookup / remote stub creation. With the EJBHomeFactory pattern
   // (§4.2) this happens once per (node, component); without it, every call.
   const bool need_stub =
-      !plan_.has(Feature::kStubCaching) || stubs_.need_stub_exchange(caller, comp_name);
+      !plan_.has(Feature::kStubCaching) || stubs_.need_stub_exchange(caller, cid);
   if (need_stub) {
     co_await rmi_.stub_exchange(caller, target, trace);
   }
 
-  const net::Bytes args_size = method.args_bytes + values_bytes(args);
+  const net::Bytes args_size = method.args_bytes + values_bytes(args.view());
   if (target == caller) {
     // The caller's own stale view dispatched locally to the retired site:
     // one forwarding RMI straight to the new authority.
@@ -551,7 +693,7 @@ sim::Task<CallResult> Runtime::call_from(net::NodeId caller, std::string comp_na
 }
 
 sim::Task<void> Runtime::dispatch(net::NodeId node, const ComponentDef& comp,
-                                  const MethodDef& method, std::vector<db::Value> args,
+                                  const MethodDef& method, CallArgs args,
                                   std::vector<db::Row>* out, TraceSink* trace,
                                   std::uint64_t session_key) {
   {
@@ -592,14 +734,14 @@ sim::Task<void> Runtime::dispatch(net::NodeId node, const ComponentDef& comp,
   }
 }
 
-sim::Task<std::optional<db::Row>> Runtime::read_entity_impl(net::NodeId node,
-                                                            std::string entity,
+sim::Task<std::optional<db::Row>> Runtime::read_entity_impl(net::NodeId node, EntityId entity,
                                                             std::int64_t pk, TraceSink* trace) {
-  const std::string vkey = version_key(entity, pk);
-  const std::string& table = entity_table(entity);
+  const cache::EntityKey vkey{entity, pk};
+  const std::string& table = entities_[entity].table;
   const net::NodeId primary = plan_.main_server();
 
-  if (plan_.has(Feature::kStatefulComponentCaching) && plan_.has_ro_replica(entity, node)) {
+  if (plan_.has(Feature::kStatefulComponentCaching) &&
+      member(plan_index().ro_member[entity], node)) {
     cache::ReadOnlyCache& cache = ro_cache(node, entity);
     co_await topo_.node(node).cpu->consume(cfg_.cache_access);
     if (trace) trace->add(SpanKind::kCacheRead, cfg_.cache_access);
@@ -608,7 +750,9 @@ sim::Task<std::optional<db::Row>> Runtime::read_entity_impl(net::NodeId node,
     const bool may_degrade =
         degraded_mode() && rmi_.resilience().degraded_reads && node != primary;
     std::optional<cache::ReadOnlyCache::Entry> raw;
-    if (may_degrade) raw = cache.get(pk);
+    if (may_degrade) {
+      if (const cache::ReadOnlyCache::Entry* e = cache.get(pk)) raw = *e;
+    }
     auto serve_stale = [&]() -> bool {
       return raw.has_value() && within_staleness_bound(vkey, raw->version);
     };
@@ -620,7 +764,7 @@ sim::Task<std::optional<db::Row>> Runtime::read_entity_impl(net::NodeId node,
       note_read(vkey, raw->version);
       co_return raw->row;
     }
-    if (auto entry = cache.get_if_fresh(pk, sim_.now(), cfg_.ro_ttl)) {
+    if (const auto* entry = cache.get_if_fresh(pk, sim_.now(), cfg_.ro_ttl)) {
       note_read(vkey, entry->version);
       co_return entry->row;
     }
@@ -645,8 +789,8 @@ sim::Task<std::optional<db::Row>> Runtime::read_entity_impl(net::NodeId node,
             if (trace) {
               const sim::SimTime w1 = sim_.now();
               trace->add(SpanKind::kJdbc, w1 - w0);
-              trace->leaf(SpanKind::kJdbc, "refresh:" + entity, primary.value(), primary.value(),
-                          w0, w1);
+              trace->leaf(SpanKind::kJdbc, "refresh:" + entities_[entity].name, primary.value(),
+                          primary.value(), w0, w1);
             }
             co_return res.wire_bytes();
           },
@@ -662,7 +806,7 @@ sim::Task<std::optional<db::Row>> Runtime::read_entity_impl(net::NodeId node,
         note_read(vkey, raw->version);
         co_return raw->row;
       }
-      throw net::DeliveryError("Runtime: read of " + vkey +
+      throw net::DeliveryError("Runtime: read of " + version_label(entity, pk) +
                                " failed with no usable replica entry");
     }
     if (fetched.has_value()) {
@@ -698,12 +842,13 @@ sim::Task<std::optional<db::Row>> Runtime::read_entity_impl(net::NodeId node,
 
 sim::Task<db::QueryResult> Runtime::cached_query_impl(net::NodeId node, db::Query q,
                                                       TraceSink* trace) {
-  if (plan_.has(Feature::kQueryCaching) && plan_.has_query_cache(node) && q.is_cacheable()) {
-    const std::string key = q.cache_key();
+  if (plan_.has(Feature::kQueryCaching) && member(plan_index().query_cache, node) &&
+      q.is_cacheable()) {
+    const std::string key = q.cache_key();  // built once for the read, the miss and the fill
     cache::QueryCache& qc = query_cache(node);
     co_await topo_.node(node).cpu->consume(cfg_.cache_access);
     if (trace) trace->add(SpanKind::kCacheRead, cfg_.cache_access);
-    if (auto entry = qc.get(key)) {
+    if (const cache::QueryCache::Entry* entry = qc.get(key)) {
       note_read(key, entry->version);
       co_return db::QueryResult{entry->rows, 0};
     }
@@ -712,7 +857,7 @@ sim::Task<db::QueryResult> Runtime::cached_query_impl(net::NodeId node, db::Quer
     // version newer than the data it installs (a write committing
     // mid-flight would otherwise let stale rows masquerade as fresh).
     std::uint64_t pre_version = 0;
-    db::QueryResult res = co_await query_at_main(node, q, trace, &pre_version);
+    db::QueryResult res = co_await query_at_main(node, std::move(q), trace, &key, &pre_version);
     qc.fill(key, res.rows, pre_version);
     note_read(key, pre_version);
     co_return res;
@@ -721,30 +866,32 @@ sim::Task<db::QueryResult> Runtime::cached_query_impl(net::NodeId node, db::Quer
 }
 
 sim::Task<db::QueryResult> Runtime::query_at_main(net::NodeId from, db::Query q,
-                                                  TraceSink* trace,
+                                                  TraceSink* trace, const std::string* cache_key,
                                                   std::uint64_t* pre_version) {
   const net::NodeId primary = plan_.main_server();
   if (from == primary) {
     const sim::SimTime j0 = sim_.now();
-    if (pre_version != nullptr) *pre_version = consistency_.master_version(q.cache_key());
+    if (pre_version != nullptr) *pre_version = consistency_.master_version(*cache_key);
     db::QueryResult res = co_await jdbc_for(primary).execute(std::move(q));
     if (trace) trace->add(SpanKind::kJdbc, sim_.now() - j0);
     co_return res;
   }
   // One façade RMI to the main server, which runs the query next to the DB.
+  // The transport runs the body at most once, so it may consume `q`.
   db::QueryResult res;
   co_await rmi_.call_dynamic(
       from, primary, 128,
       [&]() -> sim::Task<net::Bytes> {
         const sim::SimTime w0 = sim_.now();
         co_await topo_.node(primary).cpu->consume(cfg_.local_dispatch);
-        if (pre_version != nullptr) *pre_version = consistency_.master_version(q.cache_key());
-        res = co_await jdbc_for(primary).execute(q);
+        if (pre_version != nullptr) *pre_version = consistency_.master_version(*cache_key);
+        std::string label = trace != nullptr ? "query:" + q.table : std::string();
+        res = co_await jdbc_for(primary).execute(std::move(q));
         if (trace) {
           const sim::SimTime w1 = sim_.now();
           trace->add(SpanKind::kJdbc, w1 - w0);
-          trace->leaf(SpanKind::kJdbc, "query:" + q.table, primary.value(), primary.value(),
-                      w0, w1);
+          trace->leaf(SpanKind::kJdbc, std::move(label), primary.value(), primary.value(), w0,
+                      w1);
         }
         co_return res.wire_bytes();
       },
@@ -752,9 +899,9 @@ sim::Task<db::QueryResult> Runtime::query_at_main(net::NodeId from, db::Query q,
   co_return res;
 }
 
-sim::Task<void> Runtime::write_impl(CallContext* ctx, net::NodeId node,
-                                    std::string entity, db::Query write,
-                                    std::vector<db::Query> affected_queries, TraceSink* trace) {
+sim::Task<void> Runtime::write_impl(CallContext* ctx, net::NodeId node, EntityId entity,
+                                    db::Query write, std::vector<db::Query> affected_queries,
+                                    TraceSink* trace) {
   if (ctx != nullptr) trace = ctx->trace_;
   const net::NodeId primary = plan_.main_server();
   if (node != primary) {
@@ -792,7 +939,7 @@ sim::Task<void> Runtime::write_impl(CallContext* ctx, net::NodeId node,
       if (!may_queue) throw;
     }
     if (!ok) {
-      QueuedWrite queued{std::move(entity), std::move(write), std::move(affected_queries)};
+      QueuedWrite queued{entity, std::move(write), std::move(affected_queries)};
       const sim::SimTime q0 = sim_.now();
       co_await write_queue(node).publish(node, std::move(queued), wire, trace);
       ++queued_writes_;
@@ -802,7 +949,7 @@ sim::Task<void> Runtime::write_impl(CallContext* ctx, net::NodeId node,
   }
   const std::int64_t pk =
       write.kind == db::QueryKind::kInsert ? db::as_int(write.row.at(0)) : write.pk;
-  const LockManager::Key lock_key{entity, pk};
+  const LockManager::Key lock_key{entities_[entity].name, pk};
   const bool already_held = ctx != nullptr && ctx->holds_lock(lock_key);
   // Sanitizer identity: the transaction (CallContext) when the write joins
   // one, else a synthetic single-use actor. Zero when SimCheck is off.
@@ -817,8 +964,8 @@ sim::Task<void> Runtime::write_impl(CallContext* ctx, net::NodeId node,
       const sim::SimTime l1 = sim_.now();
       trace->add(SpanKind::kLockWait, l1 - l0);
       if (l1 > l0) {
-        trace->leaf(SpanKind::kLockWait, "lock:" + entity, primary.value(), primary.value(), l0,
-                    l1);
+        trace->leaf(SpanKind::kLockWait, "lock:" + entities_[entity].name, primary.value(),
+                    primary.value(), l0, l1);
       }
     }
   }
@@ -828,14 +975,17 @@ sim::Task<void> Runtime::write_impl(CallContext* ctx, net::NodeId node,
     // The write span covers the suspension points of the mutation; under
     // SimCheck, a second coroutine entering it for the same (entity, pk)
     // without the lock is flagged as a write overlap.
-    simcheck::WriteGuard guard(actor, version_key(entity, pk), /*holds_lock=*/true);
+    simcheck::WriteGuard guard(
+        actor, simcheck::enabled() ? version_label(entity, pk) : std::string(),
+        /*holds_lock=*/true);
     const sim::SimTime j0 = sim_.now();
     co_await topo_.node(primary).cpu->consume(cfg_.entity_access);
-    (void)co_await jdbc_for(primary).execute(write);
+    (void)co_await jdbc_for(primary).execute(std::move(write));
     if (trace) {
       const sim::SimTime j1 = sim_.now();
       trace->add(SpanKind::kJdbc, j1 - j0);
-      trace->leaf(SpanKind::kJdbc, "write:" + entity, primary.value(), primary.value(), j0, j1);
+      trace->leaf(SpanKind::kJdbc, "write:" + entities_[entity].name, primary.value(),
+                  primary.value(), j0, j1);
     }
   } catch (...) {
     if (ctx == nullptr && !already_held) locks_.release(lock_key);
@@ -877,22 +1027,27 @@ sim::Task<void> Runtime::propagate(const std::vector<CallContext::PendingWrite>&
   // Pre-allocate one version per touched key. Allocation is monotone across
   // concurrent transactions, so two writers sharing a query key get
   // distinct versions and the replicas' monotonic apply keeps the newest.
-  std::map<std::string, std::uint64_t> versions;
+  // Keys are independent, so the allocation order does not matter.
+  TxVersions versions;
   for (const auto& w : writes) {
-    const std::string k = version_key(w.entity, w.pk);
-    if (!versions.contains(k)) versions.emplace(k, consistency_.allocate(k));
+    const cache::EntityKey k{w.entity, w.pk};
+    if (versions.of(k) == 0) versions.entities.emplace_back(k, consistency_.allocate(k));
   }
+  versions.query_keys.reserve(affected.size());
   for (const auto& q : affected) {
-    const std::string k = q.cache_key();
-    if (!versions.contains(k)) versions.emplace(k, consistency_.allocate(k));
+    std::string k = q.cache_key();
+    if (versions.of(k) == 0) versions.queries.emplace_back(k, consistency_.allocate(k));
+    versions.query_keys.push_back(std::move(k));
   }
   auto advance_all = [&] {
-    for (const auto& [k, v] : versions) consistency_.advance_to(k, v);
+    for (const auto& [k, v] : versions.entities) consistency_.advance_to(k, v);
+    for (const auto& [k, v] : versions.queries) consistency_.advance_to(k, v);
   };
 
+  const PlanIndex& idx = plan_index();
   bool entity_replicated = false;
   for (const auto& w : writes) {
-    if (!plan_.ro_replica_nodes(w.entity).empty()) entity_replicated = true;
+    if (w.entity < idx.ro_any.size() && idx.ro_any[w.entity] != 0) entity_replicated = true;
   }
   const bool touches_edges =
       entity_replicated || (!affected.empty() && !plan_.query_cache_nodes().empty());
@@ -922,23 +1077,26 @@ sim::Task<void> Runtime::propagate(const std::vector<CallContext::PendingWrite>&
 
 cache::UpdateBatch Runtime::build_batch(const std::vector<CallContext::PendingWrite>& writes,
                                         const std::vector<db::Query>& affected,
-                                        const std::map<std::string, std::uint64_t>& versions) {
+                                        const TxVersions& versions) {
   cache::UpdateBatch batch;
-  for (const auto& w : writes) {
+  for (std::size_t i = 0; i < writes.size(); ++i) {
+    const auto& w = writes[i];
     // Last write wins for duplicate (entity, pk) pairs.
     bool duplicate = false;
-    for (const auto& e : batch.entities) {
-      if (e.entity == w.entity && e.pk == w.pk) duplicate = true;
+    for (std::size_t j = 0; j < i; ++j) {
+      if (writes[j].entity == w.entity && writes[j].pk == w.pk) duplicate = true;
     }
     if (duplicate) continue;
-    if (auto row = db_.table(entity_table(w.entity)).get(w.pk)) {
-      batch.entities.push_back(cache::EntityUpdate{
-          w.entity, w.pk, std::move(*row), versions.at(version_key(w.entity, w.pk))});
+    const Entity& e = entities_[w.entity];
+    if (auto row = db_.table(e.table).get(w.pk)) {
+      batch.entities.push_back(cache::EntityUpdate{e.name, w.pk, std::move(*row),
+                                                   versions.of(cache::EntityKey{w.entity, w.pk})});
     }
   }
   const bool push_rows = plan_.query_refresh() == QueryRefreshMode::kPush;
-  for (const auto& q : affected) {
-    const std::string key = q.cache_key();
+  for (std::size_t i = 0; i < affected.size(); ++i) {
+    const auto& q = affected[i];
+    const std::string& key = versions.query_keys[i];
     bool duplicate = false;
     for (const auto& r : batch.queries) {
       if (r.cache_key == key) duplicate = true;
@@ -946,7 +1104,7 @@ cache::UpdateBatch Runtime::build_batch(const std::vector<CallContext::PendingWr
     if (duplicate) continue;
     cache::QueryRefresh refresh;
     refresh.cache_key = key;
-    refresh.version = versions.at(key);
+    refresh.version = versions.of(key);
     if (push_rows) {
       // Re-execute next to the data and ship the fresh rows (§4.4 push).
       refresh.rows = db_.execute_immediate(q).rows;
@@ -956,22 +1114,6 @@ cache::UpdateBatch Runtime::build_batch(const std::vector<CallContext::PendingWr
     batch.queries.push_back(std::move(refresh));
   }
   return batch;
-}
-
-std::vector<net::NodeId> Runtime::update_targets() const {
-  std::vector<net::NodeId> targets;
-  auto add = [&](net::NodeId n) {
-    if (n == plan_.main_server()) return;
-    for (auto t : targets) {
-      if (t == n) return;
-    }
-    targets.push_back(n);
-  };
-  for (const auto& [entity, nodes] : plan_.ro_replicas()) {
-    for (auto n : nodes) add(n);
-  }
-  for (auto n : plan_.query_cache_nodes()) add(n);
-  return targets;
 }
 
 sim::Task<void> Runtime::push_blocking(cache::UpdateBatch batch, TraceSink* trace) {
@@ -990,7 +1132,9 @@ sim::Task<void> Runtime::push_blocking(cache::UpdateBatch batch, TraceSink* trac
           ? trace->begin_span(SpanKind::kPush, "push", primary.value(), primary.value(), p0)
           : 0;
   const net::Bytes bytes = batch.wire_bytes(cfg_.delta_encoding);
-  for (net::NodeId edge : update_targets()) {
+  // A copy: a migration may re-index the plan while this push is suspended.
+  const std::vector<net::NodeId> targets = update_targets();
+  for (net::NodeId edge : targets) {
     const sim::SimTime e0 = sim_.now();
     try {
       ++blocking_pushes_;
@@ -1102,12 +1246,14 @@ sim::Task<void> Runtime::publish_async(cache::UpdateBatch batch, TraceSink* trac
 
 sim::Task<void> Runtime::apply_batch(net::NodeId node, const cache::UpdateBatch& batch) {
   co_await topo_.node(node).cpu->consume(cfg_.apply_update);
+  const PlanIndex& idx = plan_index();
   for (const auto& e : batch.entities) {
-    if (plan_.has_ro_replica(e.entity, node)) {
-      ro_cache(node, e.entity).apply_push(e.pk, e.row, e.version, sim_.now());
+    const auto it = entity_ids_.find(e.entity);
+    if (it != entity_ids_.end() && member(idx.ro_member[it->second], node)) {
+      ro_cache(node, it->second).apply_push(e.pk, e.row, e.version, sim_.now());
     }
   }
-  if (plan_.has_query_cache(node)) {
+  if (member(idx.query_cache, node)) {
     cache::QueryCache& qc = query_cache(node);
     for (const auto& q : batch.queries) {
       if (q.invalidate_only) {

@@ -1,11 +1,18 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
+#include <string_view>
+#include <type_traits>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -13,6 +20,7 @@
 #include "cache/query_cache.hpp"
 #include "cache/read_only_cache.hpp"
 #include "cache/update.hpp"
+#include "component/binding.hpp"
 #include "component/deployment.hpp"
 #include "component/locks.hpp"
 #include "component/model.hpp"
@@ -26,6 +34,7 @@
 #include "net/http.hpp"
 #include "net/network.hpp"
 #include "net/rmi.hpp"
+#include "sim/simcheck.hpp"
 #include "sim/task.hpp"
 #include "stats/metrics.hpp"
 
@@ -61,14 +70,44 @@ struct CallResult {
   std::vector<db::Row> rows;
 };
 
+/// A call's arguments: owned by the call (a nested call builds them), or
+/// borrowed from a caller that outlives the call (the HTTP edge lends its
+/// PageRequest's arguments instead of copying them per page). Move-only; a
+/// move keeps the view valid because a moved vector keeps its buffer.
+class CallArgs {
+ public:
+  CallArgs() = default;
+  CallArgs(std::vector<db::Value> owned)  // NOLINT(google-explicit-constructor)
+      : owned_(std::move(owned)), view_(owned_) {}
+  CallArgs(CallArgs&&) = default;
+  CallArgs& operator=(CallArgs&&) = default;
+  CallArgs(const CallArgs&) = delete;
+  CallArgs& operator=(const CallArgs&) = delete;
+
+  /// Borrows `lent`, which must outlive the call.
+  [[nodiscard]] static CallArgs borrow(const std::vector<db::Value>& lent) {
+    CallArgs a;
+    a.view_ = lent;
+    return a;
+  }
+
+  [[nodiscard]] std::span<const db::Value> view() const { return view_; }
+
+ private:
+  std::vector<db::Value> owned_;
+  std::span<const db::Value> view_;
+};
+
 class Runtime;
-class BindingTable;
+
+/// Dense runtime entity index (one per entity name the Runtime has seen).
+using EntityId = std::uint32_t;
 
 /// The view a running method body has of its container (the "EJB context").
 class CallContext {
  public:
   CallContext(Runtime& rt, net::NodeId node, const ComponentDef& comp, const MethodDef& method,
-              std::vector<db::Value> args)
+              CallArgs args)
       : rt_(rt), node_(node), comp_(&comp), method_(&method), args_(std::move(args)) {}
 
   [[nodiscard]] Runtime& runtime() { return rt_; }
@@ -88,10 +127,10 @@ class CallContext {
   /// a whole call tree.
   [[nodiscard]] std::uint64_t session_key() const { return session_key_; }
 
-  [[nodiscard]] std::size_t arg_count() const { return args_.size(); }
+  [[nodiscard]] std::size_t arg_count() const { return args_.view().size(); }
   [[nodiscard]] const db::Value& arg(std::size_t i) const {
-    if (i >= args_.size()) throw std::out_of_range("CallContext::arg");
-    return args_[i];
+    if (i >= args_.view().size()) throw std::out_of_range("CallContext::arg");
+    return args_.view()[i];
   }
   [[nodiscard]] std::int64_t arg_int(std::size_t i) const { return db::as_int(arg(i)); }
   [[nodiscard]] const std::string& arg_text(std::size_t i) const { return db::as_text(arg(i)); }
@@ -99,7 +138,12 @@ class CallContext {
   /// Consume CPU on this node.
   [[nodiscard]] sim::Task<void> cpu(sim::Duration d);
 
-  /// Invoke another component's method (local dispatch or RMI, per plan).
+  /// Invoke another component's method (local dispatch or RMI, per plan)
+  /// through a handle resolved when the application was defined.
+  [[nodiscard]] sim::Task<CallResult> call(MethodRef callee, std::vector<db::Value> args = {});
+
+  /// By name: resolves `component.method` (std::invalid_argument when
+  /// unknown), then takes the handle path.
   [[nodiscard]] sim::Task<CallResult> call(const std::string& component,
                                            const std::string& method,
                                            std::vector<db::Value> args = {});
@@ -108,13 +152,13 @@ class CallContext {
   /// init-lists inside co_await expressions). Pass std::int64_t / double /
   /// string-ish values explicitly.
   template <class A0, class... A>
+  [[nodiscard]] sim::Task<CallResult> call(MethodRef callee, A0&& a0, A&&... rest) {
+    return call(callee, pack(std::forward<A0>(a0), std::forward<A>(rest)...));
+  }
+  template <class A0, class... A>
   [[nodiscard]] sim::Task<CallResult> call(const std::string& component,
                                            const std::string& method, A0&& a0, A&&... rest) {
-    std::vector<db::Value> v;
-    v.reserve(1 + sizeof...(A));
-    v.emplace_back(db::Value(std::forward<A0>(a0)));
-    (v.emplace_back(db::Value(std::forward<A>(rest))), ...);
-    return call(component, method, std::move(v));
+    return call(component, method, pack(std::forward<A0>(a0), std::forward<A>(rest)...));
   }
 
   /// Raw JDBC from this node — the web tier's direct database access the
@@ -147,11 +191,19 @@ class CallContext {
   /// Rows returned to the caller (marshalled into the RMI reply).
   std::vector<db::Row> result;
 
+  template <class... A>
+  [[nodiscard]] static std::vector<db::Value> pack(A&&... a) {
+    std::vector<db::Value> v;
+    v.reserve(sizeof...(A));
+    (v.emplace_back(std::forward<A>(a)), ...);
+    return v;
+  }
+
  private:
   friend class Runtime;
 
   struct PendingWrite {
-    std::string entity;
+    EntityId entity = 0;
     std::int64_t pk = 0;
   };
 
@@ -166,7 +218,7 @@ class CallContext {
   net::NodeId node_;
   const ComponentDef* comp_;
   const MethodDef* method_;
-  std::vector<db::Value> args_;
+  CallArgs args_;
   TraceSink* trace_ = nullptr;
   std::uint64_t session_key_ = 0;
 
@@ -189,26 +241,31 @@ class Runtime {
   Runtime(const Runtime&) = delete;
   Runtime& operator=(const Runtime&) = delete;
 
-  /// Invokes `component.method` on behalf of code running at `caller_node`.
-  /// Pass a TraceSink to collect a per-category time breakdown of the
-  /// whole call tree (null = tracing off).
+  /// Invokes `callee` on behalf of code running at `caller_node` (HTTP entry
+  /// traffic: the caller is the "__client__" pseudo-component). Pass a
+  /// TraceSink to collect a per-category time breakdown of the whole call
+  /// tree (null = tracing off).
+  [[nodiscard]] sim::Task<CallResult> invoke(net::NodeId caller_node, MethodRef callee,
+                                             CallArgs args = {}, TraceSink* trace = nullptr,
+                                             std::uint64_t session_key = 0);
+
+  /// By name: resolves `component.method` once (std::invalid_argument when
+  /// unknown), then takes the handle path.
   [[nodiscard]] sim::Task<CallResult> invoke(net::NodeId caller_node,
                                              const std::string& component,
-                                             const std::string& method,
-                                             std::vector<db::Value> args = {},
+                                             const std::string& method, CallArgs args = {},
                                              TraceSink* trace = nullptr,
                                              std::uint64_t session_key = 0);
 
-  /// Variadic convenience (see CallContext::call).
+  /// Variadic convenience (see CallContext::call). An argument list already
+  /// built (a vector, CallArgs) takes the overload above.
   template <class A0, class... A>
+    requires(!std::is_convertible_v<A0, CallArgs>)
   [[nodiscard]] sim::Task<CallResult> invoke(net::NodeId caller_node,
                                              const std::string& component,
                                              const std::string& method, A0&& a0, A&&... rest) {
-    std::vector<db::Value> v;
-    v.reserve(1 + sizeof...(A));
-    v.emplace_back(db::Value(std::forward<A0>(a0)));
-    (v.emplace_back(db::Value(std::forward<A>(rest))), ...);
-    return invoke(caller_node, component, method, std::move(v));
+    return invoke(caller_node, component, method,
+                  CallArgs(CallContext::pack(std::forward<A0>(a0), std::forward<A>(rest)...)));
   }
 
   // --- accessors -----------------------------------------------------------
@@ -226,6 +283,7 @@ class Runtime {
   [[nodiscard]] LockManager& locks() { return locks_; }
   [[nodiscard]] StubCache& stubs() { return stubs_; }
 
+  /// `node`'s replica of `entity` (created on first use).
   [[nodiscard]] cache::ReadOnlyCache& ro_cache(net::NodeId node, const std::string& entity);
   [[nodiscard]] cache::QueryCache& query_cache(net::NodeId node);
   [[nodiscard]] db::JdbcClient& jdbc_for(net::NodeId node);
@@ -262,14 +320,19 @@ class Runtime {
 
   /// The read-write master's binding to its table, via the Application.
   void bind_entity(const std::string& entity, std::string table) {
-    entity_tables_[entity] = std::move(table);
+    Entity& e = entities_[intern_entity(entity)];
+    e.table = std::move(table);
+    e.bound = true;
   }
-  [[nodiscard]] const std::string& entity_table(const std::string& entity) const;
+  [[nodiscard]] const std::string& entity_table(const std::string& entity) const {
+    return entities_[bound_entity(entity)].table;
+  }
 
   /// One edge of the measured component interaction graph: who invoked
   /// whom, how often, carrying how many bytes. Feeds the placement
   /// optimizer (core/placement). Pseudo-components: "__client__" for HTTP
-  /// entry traffic, "query:<name>" for aggregate/finder query classes.
+  /// entry traffic, "__database__" for raw JDBC, "query:<name>" for
+  /// aggregate/finder query classes.
   struct InteractionStat {
     std::uint64_t calls = 0;
     std::uint64_t writes = 0;
@@ -277,8 +340,12 @@ class Runtime {
   };
   using InteractionProfile = std::map<std::pair<std::string, std::string>, InteractionStat>;
 
-  [[nodiscard]] const InteractionProfile& interaction_profile() const { return profile_; }
-  void reset_interaction_profile() { profile_.clear(); }
+  /// The profile keyed by (caller, callee) name, in name order. Built on
+  /// each call from the dense per-call counters; a report edge.
+  [[nodiscard]] InteractionProfile interaction_profile() const;
+  void reset_interaction_profile() {
+    for (auto& row : profile_) std::fill(row.begin(), row.end(), InteractionStat{});
+  }
 
   [[nodiscard]] std::uint64_t blocking_pushes() const { return blocking_pushes_; }
   [[nodiscard]] std::uint64_t failed_pushes() const { return failed_pushes_; }
@@ -321,7 +388,11 @@ class Runtime {
   /// through it instead of the static plan; an empty table resolves with
   /// exactly the plan's rule, so installation alone is byte-identical
   /// (golden-enforced).
-  void set_binding_table(const BindingTable* bindings) { bindings_ = bindings; }
+  void set_binding_table(const BindingTable* bindings) {
+    bindings_ = bindings;
+    bound_seen_ = 0;
+    binding_of_.assign(app_.component_count(), nullptr);
+  }
   [[nodiscard]] const BindingTable* binding_table() const { return bindings_; }
 
   /// The migration quiesce gate for `component` (created open on first
@@ -419,10 +490,78 @@ class Runtime {
   /// A façade write accepted at an edge while the master was unreachable,
   /// queued through a local JMS topic for redelivery (graceful degradation).
   struct QueuedWrite {
-    std::string entity;
+    EntityId entity = 0;
     db::Query write;
     std::vector<db::Query> affected;
   };
+
+  /// Heterogeneous-lookup hash: name tables are probed with string views,
+  /// so a lookup never builds a key.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const noexcept {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+  using NameIndex = std::unordered_map<std::string, std::uint32_t, NameHash, std::equal_to<>>;
+
+  /// One entity bean type, by id. Lives in a deque: references stay valid
+  /// across the suspension points of a read while new names are interned.
+  struct Entity {
+    std::string name;
+    std::string table;
+    bool bound = false;          // bind_entity ran
+    std::uint32_t endpoint = 0;  // interaction-profile endpoint
+    /// Read-only replicas by node id (null until first used there).
+    std::vector<std::unique_ptr<cache::ReadOnlyCache>> ro_caches;
+  };
+
+  /// The deployment plan's per-call facts, indexed by id. Rebuilt whenever
+  /// the plan's revision moves, so run-time mutations (live migration)
+  /// reach the per-call path.
+  struct PlanIndex {
+    std::uint64_t revision = 0;
+    bool built = false;
+    /// By component id: the placement list (empty = not placed).
+    std::vector<std::vector<net::NodeId>> placement;
+    /// By entity id, then node id: 1 when the plan puts a replica there.
+    std::vector<std::vector<std::uint8_t>> ro_member;
+    /// By entity id: the plan replicates it anywhere.
+    std::vector<std::uint8_t> ro_any;
+    /// By node id: 1 when the plan puts a query cache there.
+    std::vector<std::uint8_t> query_cache;
+    /// Edge nodes that must receive updates, in update_targets() order.
+    std::vector<net::NodeId> update_targets;
+  };
+
+  [[nodiscard]] const PlanIndex& plan_index() {
+    if (!index_.built || index_.revision != plan_.revision()) reindex_plan();
+    return index_;
+  }
+  void reindex_plan();
+  [[nodiscard]] static bool member(const std::vector<std::uint8_t>& v, net::NodeId n) {
+    return n.value() < v.size() && v[n.value()] != 0;
+  }
+  /// The plan's dispatch rule by id: the co-located replica when one
+  /// exists, else the primary.
+  [[nodiscard]] net::NodeId resolve_in_plan(ComponentId component, net::NodeId from);
+
+  /// The entity's id, interning a new name.
+  EntityId intern_entity(std::string_view name);
+  /// The id of a bound entity; throws std::invalid_argument otherwise.
+  [[nodiscard]] EntityId bound_entity(std::string_view name) const;
+  [[nodiscard]] cache::ReadOnlyCache& ro_cache(net::NodeId node, EntityId entity);
+  [[nodiscard]] std::string version_label(EntityId entity, std::int64_t pk) const {
+    return entities_[entity].name + ":" + std::to_string(pk);
+  }
+
+  /// The interaction-profile endpoint of `name`, interning a new name.
+  std::uint32_t intern_endpoint(std::string_view name);
+  /// The endpoint of a query's class ("query:<table or aggregate>").
+  std::uint32_t query_endpoint(const db::Query& q);
+
+  /// The runtime binding of `component`, or null while it is unbound.
+  [[nodiscard]] const BindingTable::Binding* binding_for(ComponentId component);
 
   /// True when the middleware-level degradation policy is active.
   [[nodiscard]] bool degraded_mode() const { return rmi_.resilience().enabled; }
@@ -436,7 +575,12 @@ class Runtime {
   /// Bounded staleness check for degraded reads: the entry at `version` may
   /// be served when it lags the master by at most the plan's TACT staleness
   /// bound (0 = unbounded during degradation).
-  [[nodiscard]] bool within_staleness_bound(const std::string& vkey, std::uint64_t version);
+  template <class Key>
+  [[nodiscard]] bool within_staleness_bound(const Key& vkey, std::uint64_t version) {
+    const std::uint32_t bound = plan_.staleness_bound();
+    if (bound == 0) return true;  // degraded mode accepts any age
+    return consistency_.master_version(vkey) - version <= bound;
+  }
 
   /// Per-edge store-and-forward write queue (provider co-located with the
   /// edge, subscriber at the master).
@@ -446,27 +590,31 @@ class Runtime {
   // NOTE: coroutine — all parameters by value. A const-ref parameter would
   // dangle when the lazy task outlives the caller's temporaries (e.g. a
   // default argument constructed in a non-coroutine forwarding wrapper).
-  [[nodiscard]] sim::Task<CallResult> call_from(net::NodeId caller, std::string component,
-                                                std::string method, std::vector<db::Value> args,
-                                                std::string caller_component = "__client__",
-                                                TraceSink* trace = nullptr,
-                                                std::uint64_t session_key = 0);
+  // `caller_endpoint` is the caller's interaction-profile endpoint: its
+  // ComponentId for a nested call, client_endpoint_ for HTTP entry.
+  [[nodiscard]] sim::Task<CallResult> call_from(net::NodeId caller, MethodRef callee,
+                                                CallArgs args,
+                                                std::uint32_t caller_endpoint, TraceSink* trace,
+                                                std::uint64_t session_key);
 
-  void record_interaction(const std::string& caller, const std::string& callee, net::Bytes bytes,
+  void record_interaction(std::uint32_t caller, std::uint32_t callee, net::Bytes bytes,
                           bool is_write = false) {
-    auto& stat = profile_[{caller, callee}];
+    if (caller >= profile_.size()) profile_.resize(caller + 1);
+    std::vector<InteractionStat>& row = profile_[caller];
+    if (callee >= row.size()) row.resize(endpoint_names_.size());
+    InteractionStat& stat = row[callee];
     ++stat.calls;
     if (is_write) ++stat.writes;
     stat.bytes += bytes;
   }
 
   [[nodiscard]] sim::Task<void> dispatch(net::NodeId node, const ComponentDef& comp,
-                                         const MethodDef& method, std::vector<db::Value> args,
+                                         const MethodDef& method, CallArgs args,
                                          std::vector<db::Row>* out, TraceSink* trace,
                                          std::uint64_t session_key = 0);
 
   [[nodiscard]] sim::Task<std::optional<db::Row>> read_entity_impl(net::NodeId node,
-                                                                   std::string entity,
+                                                                   EntityId entity,
                                                                    std::int64_t pk,
                                                                    TraceSink* trace);
 
@@ -474,12 +622,13 @@ class Runtime {
                                                              TraceSink* trace);
 
   /// Executes a query at the main server (locally or via one façade RMI).
-  /// When `pre_version` is non-null, the master version of the query's
-  /// cache key is captured *at the primary*, immediately before the query
-  /// executes — the latest instant that still cannot claim a version newer
-  /// than the data read.
+  /// When `pre_version` is non-null, the master version of `cache_key` (the
+  /// query's key, built once by the caller) is captured *at the primary*,
+  /// immediately before the query executes — the latest instant that still
+  /// cannot claim a version newer than the data read.
   [[nodiscard]] sim::Task<db::QueryResult> query_at_main(net::NodeId from, db::Query q,
                                                          TraceSink* trace,
+                                                         const std::string* cache_key = nullptr,
                                                          std::uint64_t* pre_version = nullptr);
 
   /// Applies one write. When `ctx` is non-null the write joins the calling
@@ -487,8 +636,8 @@ class Runtime {
   /// a standalone transaction, tracing into `trace` (the edge->primary write
   /// route threads the caller's sink through so the remote commit's lock,
   /// JDBC and push time stay on the traced request's books).
-  [[nodiscard]] sim::Task<void> write_impl(CallContext* ctx, net::NodeId node,
-                                           std::string entity, db::Query write,
+  [[nodiscard]] sim::Task<void> write_impl(CallContext* ctx, net::NodeId node, EntityId entity,
+                                           db::Query write,
                                            std::vector<db::Query> affected_queries,
                                            TraceSink* trace = nullptr);
 
@@ -502,12 +651,32 @@ class Runtime {
                                           const std::vector<db::Query>& affected,
                                           TraceSink* trace);
 
+  /// One transaction's pre-allocated versions: entity keys, and the
+  /// affected queries' keys (each built once) with their versions.
+  struct TxVersions {
+    std::vector<std::pair<cache::EntityKey, std::uint64_t>> entities;
+    std::vector<std::string> query_keys;  // parallel to the affected queries
+    std::vector<std::pair<std::string, std::uint64_t>> queries;  // distinct keys
+
+    [[nodiscard]] std::uint64_t of(const cache::EntityKey& k) const {
+      for (const auto& [key, v] : entities) {
+        if (key == k) return v;
+      }
+      return 0;
+    }
+    [[nodiscard]] std::uint64_t of(const std::string& k) const {
+      for (const auto& [key, v] : queries) {
+        if (key == k) return v;
+      }
+      return 0;
+    }
+  };
+
   /// Builds the update batch for a set of committed writes, stamping each
   /// entry with its pre-allocated version.
   [[nodiscard]] cache::UpdateBatch build_batch(
       const std::vector<CallContext::PendingWrite>& writes,
-      const std::vector<db::Query>& affected,
-      const std::map<std::string, std::uint64_t>& versions);
+      const std::vector<db::Query>& affected, const TxVersions& versions);
 
   [[nodiscard]] sim::Task<void> push_blocking(cache::UpdateBatch batch, TraceSink* trace);
   [[nodiscard]] sim::Task<void> publish_async(cache::UpdateBatch batch, TraceSink* trace);
@@ -523,19 +692,22 @@ class Runtime {
   [[nodiscard]] sim::Task<void> publish_lane(std::size_t lane, cache::UpdateBatch batch);
 
   /// Edge nodes that must receive updates (RO replicas or query caches).
-  [[nodiscard]] std::vector<net::NodeId> update_targets() const;
-
-  [[nodiscard]] static std::string version_key(const std::string& entity, std::int64_t pk) {
-    return entity + ":" + std::to_string(pk);
+  [[nodiscard]] const std::vector<net::NodeId>& update_targets() {
+    return plan_index().update_targets;
   }
 
   /// Observes a read through the ConsistencyTracker and, under
   /// MUTSVC_SIMCHECK, hard-fails on a stale read whenever the §4.3
   /// zero-staleness invariant applies (blocking push, no failed pushes, no
   /// degraded reads).
-  void note_read(const std::string& key, std::uint64_t seen_version);
+  template <class Key>
+  void note_read(const Key& key, std::uint64_t seen_version) {
+    consistency_.observe_read(key, seen_version);
+    if (simcheck::enabled()) probe_staleness();
+  }
+  void probe_staleness();
 
-  static net::Bytes values_bytes(const std::vector<db::Value>& vals);
+  static net::Bytes values_bytes(std::span<const db::Value> vals);
   static net::Bytes rows_bytes(const std::vector<db::Row>& rows);
 
   sim::Simulator& sim_;
@@ -557,8 +729,22 @@ class Runtime {
   /// Master versions (allocate / advance_to / master_version) plus the
   /// read-staleness stats of every replica read.
   cache::ConsistencyTracker consistency_;
-  std::map<std::string, std::string> entity_tables_;
-  std::map<std::pair<net::NodeId, std::string>, std::unique_ptr<cache::ReadOnlyCache>> ro_caches_;
+
+  // Name tables, built once: strings stay at the API entry points and the
+  // report edges; the per-call path indexes by id.
+  /// Interaction-profile endpoints: components first (a ComponentId is its
+  /// own endpoint), then the pseudo-components, entities and query classes
+  /// in order of first sight.
+  std::vector<std::string> endpoint_names_;
+  NameIndex endpoint_ids_;
+  std::uint32_t client_endpoint_ = 0;
+  std::uint32_t database_endpoint_ = 0;
+  /// Bare query-class name (table or aggregate) -> endpoint of "query:<name>".
+  NameIndex query_endpoints_;
+  std::deque<Entity> entities_;
+  NameIndex entity_ids_;
+  PlanIndex index_;
+
   std::map<net::NodeId, std::unique_ptr<cache::QueryCache>> query_caches_;
   std::map<net::NodeId, std::unique_ptr<db::JdbcClient>> jdbc_clients_;
   /// One update topic per data-tier shard (lane s carries shard s's dirty
@@ -566,15 +752,21 @@ class Runtime {
   std::vector<std::unique_ptr<msg::Topic<cache::UpdateBatch>>> topics_;
   std::unique_ptr<msg::Coalescer<cache::UpdateBatch>> coalescer_;
   std::map<net::NodeId, std::unique_ptr<msg::Topic<QueuedWrite>>> write_queues_;
-  InteractionProfile profile_;
+  /// Interaction counters, [caller endpoint][callee endpoint].
+  std::vector<std::vector<InteractionStat>> profile_;
   std::map<net::NodeId, stats::MetricsRegistry> metrics_;
 
   // Runtime placement (DESIGN §17). All null/empty unless the experiment
   // installs a binding table; every placement branch in the hot path is
   // `bindings_ != nullptr`-gated, so a disabled run is bit-identical.
   const BindingTable* bindings_ = nullptr;
-  std::map<std::string, std::unique_ptr<net::CreditGate>> component_gates_;
-  std::map<std::string, std::uint64_t> component_in_flight_;
+  /// By component id: the table's binding (null = unbound), refreshed when
+  /// the table binds another component.
+  std::vector<const BindingTable::Binding*> binding_of_;
+  std::size_t bound_seen_ = 0;
+  /// By component id; null until a migration first gates the component.
+  std::vector<std::unique_ptr<net::CreditGate>> component_gates_;
+  std::vector<std::uint64_t> component_in_flight_;
   std::set<net::NodeId> update_subscribers_;
   std::uint64_t forwarded_calls_ = 0;
   std::uint64_t late_stragglers_ = 0;

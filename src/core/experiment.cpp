@@ -222,9 +222,12 @@ sim::Task<void> Experiment::execute_at(net::NodeId client_node, net::NodeId serv
                              }
                            }
                            try {
-                             (void)co_await runtime_->invoke(server, request.component,
-                                                             request.method, request.args,
-                                                             trace, request.session_key);
+                             // One name resolution per page; the page's
+                             // arguments are lent, not copied.
+                             (void)co_await runtime_->invoke(
+                                 server, request.component, request.method,
+                                 comp::CallArgs::borrow(request.args), trace,
+                                 request.session_key);
                            } catch (...) {
                              pool.release();
                              throw;

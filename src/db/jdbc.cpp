@@ -38,7 +38,7 @@ sim::Task<QueryResult> JdbcClient::execute_at_shard(Query q, std::size_t shard) 
   }
 
   co_await net_.deliver(client_, server, cfg_.query_bytes);
-  QueryResult res = co_await db_.execute(q);
+  QueryResult res = co_await db_.execute(std::move(q));
   co_await fetch_result(server, res.rows.size(), res.wire_bytes());
 
   if (cfg_.pool_connections) ++pooled_available_[shard];

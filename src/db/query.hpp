@@ -1,8 +1,10 @@
 #pragma once
 
+#include <charconv>
 #include <cstdint>
-#include <sstream>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "db/value.hpp"
@@ -121,22 +123,53 @@ struct Query {
   }
 
   /// Stable identity string; used as the query-cache key (§4.4).
+  ///
+  /// Injective: `kind:table:aggregate:column:pk:keyword` followed by one
+  /// `#i<int>`, `#r<real>` or `#t<text>` per value. Reals print in their
+  /// shortest exact (round-trip) form; a `:`, `#` or `\` inside any text
+  /// field is escaped with a `\`, so no text can forge a separator.
   [[nodiscard]] std::string cache_key() const {
-    std::ostringstream os;
-    os << to_string(kind) << ":" << table << ":" << aggregate_name << ":" << column << ":"
-       << pk << ":" << keyword;
-    auto emit = [&os](const Value& v) {
-      if (std::holds_alternative<std::int64_t>(v)) {
-        os << "#i" << std::get<std::int64_t>(v);
-      } else if (std::holds_alternative<double>(v)) {
-        os << "#r" << std::get<double>(v);
+    std::string key;
+    key.reserve(64);
+    key += to_string(kind);
+    for (const std::string* field : {&table, &aggregate_name, &column}) {
+      key += ':';
+      append_escaped(key, *field);
+    }
+    key += ':';
+    append_number(key, pk);
+    key += ':';
+    append_escaped(key, keyword);
+    auto emit = [&key](const Value& v) {
+      if (const auto* i = std::get_if<std::int64_t>(&v)) {
+        key += "#i";
+        append_number(key, *i);
+      } else if (const auto* d = std::get_if<double>(&v)) {
+        key += "#r";
+        append_number(key, *d);
       } else {
-        os << "#t" << std::get<std::string>(v);
+        key += "#t";
+        append_escaped(key, std::get<std::string>(v));
       }
     };
     emit(value);
     for (const auto& p : params) emit(p);
-    return os.str();
+    return key;
+  }
+
+ private:
+  static void append_escaped(std::string& out, std::string_view text) {
+    for (char c : text) {
+      if (c == ':' || c == '#' || c == '\\') out += '\\';
+      out += c;
+    }
+  }
+
+  template <class N>
+  static void append_number(std::string& out, N n) {
+    char buf[32];
+    const std::to_chars_result r = std::to_chars(buf, buf + sizeof buf, n);
+    out.append(buf, r.ptr);
   }
 };
 

@@ -11,8 +11,11 @@ sim::Task<void> Network::deliver(NodeId from, NodeId to, Bytes size) {
     co_return;
   }
   // Resolve the route before touching any counter: a send with no live
-  // route (NoRouteError) never put a byte on the wire.
-  std::vector<Link*> route = topo_.path(from, to);
+  // route (NoRouteError) never put a byte on the wire. The message holds
+  // its routing epoch, so a flap that rebuilds the routes mid-flight leaves
+  // its hops as they were.
+  const std::shared_ptr<const RouteTable> routes = topo_.routes();
+  const std::span<Link* const> route = topo_.hops(*routes, from, to);
   ++messages_;
   bytes_ += size;
 

@@ -66,10 +66,11 @@ void Topology::build_routes() {
   const std::size_t n = nodes_.size();
   constexpr double kInf = std::numeric_limits<double>::infinity();
   std::vector<std::vector<double>> dist(n, std::vector<double>(n, kInf));
-  next_hop_.assign(n, std::vector<std::uint32_t>(n, kNoHop));
+  // next_hop[a][b] = next node on the shortest path a->b, or kNoHop.
+  std::vector<std::vector<std::uint32_t>> next_hop(n, std::vector<std::uint32_t>(n, kNoHop));
   for (std::size_t i = 0; i < n; ++i) {
     dist[i][i] = 0.0;
-    next_hop_[i][i] = static_cast<std::uint32_t>(i);
+    next_hop[i][i] = static_cast<std::uint32_t>(i);
   }
   for (const auto& l : links_) {
     if (!l->up) continue;
@@ -78,7 +79,7 @@ void Topology::build_routes() {
     double w = static_cast<double>(l->latency.count_micros());
     if (w < dist[f][t]) {
       dist[f][t] = w;
-      next_hop_[f][t] = t;
+      next_hop[f][t] = t;
     }
   }
   // Floyd–Warshall; topologies are small (≈15 nodes), O(n^3) is fine.
@@ -89,12 +90,44 @@ void Topology::build_routes() {
         if (dist[k][j] == kInf) continue;
         if (dist[i][k] + dist[k][j] < dist[i][j]) {
           dist[i][j] = dist[i][k] + dist[k][j];
-          next_hop_[i][j] = next_hop_[i][k];
+          next_hop[i][j] = next_hop[i][k];
         }
       }
     }
   }
+  // Lay every route's hops out once; delivery then walks a span.
+  auto table = std::make_shared<RouteTable>();
+  table->nodes = n;
+  table->begin.reserve(n * n + 1);
+  table->reachable.assign(n * n, 0);
+  for (std::size_t a = 0; a < n; ++a) {
+    for (std::size_t b = 0; b < n; ++b) {
+      table->begin.push_back(static_cast<std::uint32_t>(table->hops.size()));
+      if (next_hop[a][b] == kNoHop) continue;
+      table->reachable[a * n + b] = 1;
+      for (std::size_t cur = a; cur != b; cur = next_hop[cur][b]) {
+        Link* l = link_between(NodeId{static_cast<std::uint32_t>(cur)},
+                               NodeId{next_hop[cur][b]});
+        if (l == nullptr) throw std::logic_error("Topology::build_routes: route uses missing link");
+        table->hops.push_back(l);
+      }
+    }
+  }
+  table->begin.push_back(static_cast<std::uint32_t>(table->hops.size()));
+  routes_ = std::move(table);
   routes_valid_ = true;
+}
+
+std::span<Link* const> Topology::hops(const RouteTable& table, NodeId a, NodeId b) const {
+  if (a.value() >= table.nodes || b.value() >= table.nodes) {
+    throw std::out_of_range("Topology::path: bad id");
+  }
+  const std::size_t cell = a.value() * table.nodes + b.value();
+  if (table.reachable[cell] == 0) {
+    throw NoRouteError("Topology::path: no route from " + nodes_[a.value()].name + " to " +
+                       nodes_[b.value()].name);
+  }
+  return {table.hops.data() + table.begin[cell], table.hops.data() + table.begin[cell + 1]};
 }
 
 Link* Topology::link_between(NodeId a, NodeId b) {
@@ -138,28 +171,15 @@ bool Topology::reachable(NodeId a, NodeId b) {
 }
 
 std::vector<Link*> Topology::path(NodeId a, NodeId b) {
-  if (!routes_valid_) build_routes();
-  std::vector<Link*> out;
-  if (a == b) return out;
-  std::uint32_t cur = a.value();
-  const std::uint32_t dst = b.value();
-  while (cur != dst) {
-    std::uint32_t nh = next_hop_[cur][dst];
-    if (nh == kNoHop) {
-      throw NoRouteError("Topology::path: no route from " + nodes_[a.value()].name + " to " +
-                         nodes_[b.value()].name);
-    }
-    Link* l = link_between(NodeId{cur}, NodeId{nh});
-    if (l == nullptr) throw std::logic_error("Topology::path: route uses missing link");
-    out.push_back(l);
-    cur = nh;
-  }
-  return out;
+  const std::shared_ptr<const RouteTable> table = routes();
+  const std::span<Link* const> route = hops(*table, a, b);
+  return {route.begin(), route.end()};
 }
 
 sim::Duration Topology::path_latency(NodeId a, NodeId b) {
+  const std::shared_ptr<const RouteTable> table = routes();
   sim::Duration total = sim::Duration::zero();
-  for (Link* l : path(a, b)) total += l->latency;
+  for (Link* l : hops(*table, a, b)) total += l->latency;
   return total;
 }
 

@@ -1,6 +1,8 @@
 #pragma once
 
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -56,6 +58,19 @@ struct Link {
   }
 };
 
+/// Every (from, to) route of one routing epoch, laid out back to back.
+/// Topology::build_routes makes a new table whenever the graph or a link's
+/// state changed; a message in flight keeps the table it started with, so a
+/// link flap never changes the hops of a message already on its way.
+struct RouteTable {
+  std::size_t nodes = 0;
+  /// Route (a, b) is hops[begin[a * nodes + b], begin[a * nodes + b + 1]).
+  std::vector<Link*> hops;
+  std::vector<std::uint32_t> begin;
+  /// Per (a, b): 1 when a live route exists.
+  std::vector<std::uint8_t> reachable;
+};
+
 /// The emulated network graph with static shortest-latency routing.
 class Topology {
  public:
@@ -106,6 +121,17 @@ class Topology {
   /// topology change.
   void build_routes();
 
+  /// The current routing epoch's table (rebuilt first when stale). Holding
+  /// the pointer keeps that epoch's hops valid across later rebuilds.
+  [[nodiscard]] std::shared_ptr<const RouteTable> routes() {
+    if (!routes_valid_) build_routes();
+    return routes_;
+  }
+
+  /// The hops from `a` to `b` in `table` (empty when a == b). Throws
+  /// NoRouteError when `b` is unreachable in that epoch.
+  [[nodiscard]] std::span<Link* const> hops(const RouteTable& table, NodeId a, NodeId b) const;
+
   /// Ordered directed links along the route from `a` to `b`.
   [[nodiscard]] std::vector<Link*> path(NodeId a, NodeId b);
 
@@ -131,8 +157,7 @@ class Topology {
   sim::Simulator& sim_;
   std::vector<Node> nodes_;
   std::vector<std::unique_ptr<Link>> links_;
-  // next_hop_[a][b] = next node on the shortest path a->b, or UINT32_MAX.
-  std::vector<std::vector<std::uint32_t>> next_hop_;
+  std::shared_ptr<const RouteTable> routes_;
   bool routes_valid_ = false;
 };
 

@@ -1,10 +1,13 @@
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -23,6 +26,11 @@ enum class ClientGroup { kLocal, kRemote };
 /// Collects per-(page, group) and per-(usage-pattern, group) response
 /// times, excluding a warm-up window — mirroring §3.3's methodology
 /// ("each test ... preceded by several minutes of system warm-up").
+///
+/// Each usage pattern, and each page within it, gets a dense cell the first
+/// time a sample names it; a sample finds its cells by hashing the two names
+/// in place, without building a key. Reports (pages(), the summaries) are
+/// keyed by name.
 class ResponseTimeCollector {
  public:
   explicit ResponseTimeCollector(sim::Duration warmup = sim::Duration::zero())
@@ -47,10 +55,11 @@ class ResponseTimeCollector {
     }
     double ms = response_time.as_millis();
     if (observer_) observer_(ms);
-    by_page_[{page_key(pattern, page), group}].add(ms);
-    by_pattern_[{pattern, group}].add(ms);
+    PatternCell& p = pattern_cell(pattern);
+    page_cell(p, page).by_group[slot(group)].add(ms);
+    p.by_group[slot(group)].add(ms);
     if (series_window_ > sim::Duration::zero()) {
-      auto& ts = series_[group];
+      auto& ts = series_[slot(group)];
       if (ts == nullptr) ts = std::make_unique<TimeSeries>(series_window_);
       ts->add(completed_at, ms);
     }
@@ -71,15 +80,15 @@ class ResponseTimeCollector {
       return;
     }
     ++failures_;
-    ++pattern_failures_[{pattern, group}];
+    ++pattern_cell(pattern).failures[slot(group)];
   }
 
   [[nodiscard]] std::uint64_t failures() const { return failures_; }
 
   [[nodiscard]] std::uint64_t pattern_failures(const std::string& pattern,
                                                ClientGroup group) const {
-    auto it = pattern_failures_.find({pattern, group});
-    return it == pattern_failures_.end() ? 0 : it->second;
+    const PatternCell* p = find_pattern(pattern);
+    return p == nullptr ? 0 : p->failures[slot(group)];
   }
 
   /// Records one page request refused up front by admission control — the
@@ -94,15 +103,15 @@ class ResponseTimeCollector {
       return;
     }
     ++rejections_;
-    ++pattern_rejections_[{pattern, group}];
+    ++pattern_cell(pattern).rejections[slot(group)];
   }
 
   [[nodiscard]] std::uint64_t rejections() const { return rejections_; }
 
   [[nodiscard]] std::uint64_t pattern_rejections(const std::string& pattern,
                                                  ClientGroup group) const {
-    auto it = pattern_rejections_.find({pattern, group});
-    return it == pattern_rejections_.end() ? 0 : it->second;
+    const PatternCell* p = find_pattern(pattern);
+    return p == nullptr ? 0 : p->rejections[slot(group)];
   }
 
   /// Fraction of post-warmup requests that succeeded (1.0 when idle).
@@ -117,20 +126,28 @@ class ResponseTimeCollector {
   void enable_timeseries(sim::Duration window) { series_window_ = window; }
 
   [[nodiscard]] const TimeSeries* timeseries(ClientGroup group) const {
-    auto it = series_.find(group);
-    return it == series_.end() ? nullptr : it->second.get();
+    return series_[slot(group)].get();
   }
 
+  /// The group's summary for one page, or null when it has no samples.
   [[nodiscard]] const Summary* page_summary(const std::string& pattern, const std::string& page,
                                             ClientGroup group) const {
-    auto it = by_page_.find({page_key(pattern, page), group});
-    return it == by_page_.end() ? nullptr : &it->second;
+    const PatternCell* p = find_pattern(pattern);
+    if (p == nullptr) return nullptr;
+    auto it = p->page_ids.find(page);
+    if (it == p->page_ids.end()) return nullptr;
+    const Summary& s = p->pages[it->second].by_group[slot(group)];
+    return s.empty() ? nullptr : &s;
   }
 
+  /// The group's summary for one usage pattern, or null when it has no
+  /// samples.
   [[nodiscard]] const Summary* pattern_summary(const std::string& pattern,
                                                ClientGroup group) const {
-    auto it = by_pattern_.find({pattern, group});
-    return it == by_pattern_.end() ? nullptr : &it->second;
+    const PatternCell* p = find_pattern(pattern);
+    if (p == nullptr) return nullptr;
+    const Summary& s = p->by_group[slot(group)];
+    return s.empty() ? nullptr : &s;
   }
 
   /// Mean in ms, or -1 if no samples (rendered as "-" by the reporters).
@@ -147,32 +164,83 @@ class ResponseTimeCollector {
 
   [[nodiscard]] std::size_t total_samples() const {
     std::size_t n = 0;
-    for (const auto& [k, v] : by_page_) n += v.count();
+    for (const PatternCell& p : patterns_) {
+      for (const PageCell& c : p.pages) {
+        for (const Summary& s : c.by_group) n += s.count();
+      }
+    }
     return n;
   }
 
   [[nodiscard]] std::size_t discarded_samples() const { return discarded_; }
 
+  /// page_key() of every sampled page, in key order.
   [[nodiscard]] std::vector<std::string> pages() const {
     std::vector<std::string> out;
-    for (const auto& [k, v] : by_page_) {
-      if (out.empty() || out.back() != k.first) out.push_back(k.first);
+    for (const PatternCell& p : patterns_) {
+      for (const PageCell& c : p.pages) out.push_back(page_key(p.name, c.page));
     }
+    std::sort(out.begin(), out.end());
     return out;
   }
 
  private:
-  using Key = std::pair<std::string, ClientGroup>;
+  static constexpr std::size_t kGroups = 2;
+  [[nodiscard]] static std::size_t slot(ClientGroup g) { return g == ClientGroup::kLocal ? 0 : 1; }
+
+  /// Name -> dense index, probed with string views so a lookup builds no key.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const noexcept {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+  using NameIndex = std::unordered_map<std::string, std::uint32_t, NameHash, std::equal_to<>>;
+
+  struct PageCell {
+    std::string page;
+    std::array<Summary, kGroups> by_group;
+  };
+  struct PatternCell {
+    std::string name;
+    std::array<Summary, kGroups> by_group;
+    std::array<std::uint64_t, kGroups> failures{};
+    std::array<std::uint64_t, kGroups> rejections{};
+    std::vector<PageCell> pages;
+    NameIndex page_ids;  // page name -> index into pages
+  };
+
+  PatternCell& pattern_cell(std::string_view pattern) {
+    if (auto it = pattern_ids_.find(pattern); it != pattern_ids_.end()) {
+      return patterns_[it->second];
+    }
+    pattern_ids_.emplace(std::string(pattern), static_cast<std::uint32_t>(patterns_.size()));
+    PatternCell& p = patterns_.emplace_back();
+    p.name = std::string(pattern);
+    return p;
+  }
+
+  static PageCell& page_cell(PatternCell& p, std::string_view page) {
+    if (auto it = p.page_ids.find(page); it != p.page_ids.end()) return p.pages[it->second];
+    p.page_ids.emplace(std::string(page), static_cast<std::uint32_t>(p.pages.size()));
+    PageCell& c = p.pages.emplace_back();
+    c.page = std::string(page);
+    return c;
+  }
+
+  [[nodiscard]] const PatternCell* find_pattern(std::string_view pattern) const {
+    auto it = pattern_ids_.find(pattern);
+    return it == pattern_ids_.end() ? nullptr : &patterns_[it->second];
+  }
+
   sim::Duration warmup_;
-  std::map<Key, Summary> by_page_;
-  std::map<Key, Summary> by_pattern_;
+  std::vector<PatternCell> patterns_;
+  NameIndex pattern_ids_;
   sim::Duration series_window_ = sim::Duration::zero();
-  std::map<ClientGroup, std::unique_ptr<TimeSeries>> series_;
+  std::array<std::unique_ptr<TimeSeries>, kGroups> series_;
   std::size_t discarded_ = 0;
   std::uint64_t failures_ = 0;
-  std::map<Key, std::uint64_t> pattern_failures_;
   std::uint64_t rejections_ = 0;
-  std::map<Key, std::uint64_t> pattern_rejections_;
   std::function<void(double)> observer_;
 };
 

@@ -19,11 +19,11 @@ db::Row row(std::int64_t id, double price) { return db::Row{id, price}; }
 
 TEST(ReadOnlyCacheTest, MissThenFillThenHit) {
   ReadOnlyCache c{"Item"};
-  EXPECT_FALSE(c.get(1).has_value());
+  EXPECT_EQ(c.get(1), nullptr);
   EXPECT_EQ(c.misses(), 1u);
   c.fill(1, row(1, 9.99), 3);
   auto entry = c.get(1);
-  ASSERT_TRUE(entry.has_value());
+  ASSERT_NE(entry, nullptr);
   EXPECT_EQ(entry->version, 3u);
   EXPECT_EQ(c.hits(), 1u);
   EXPECT_DOUBLE_EQ(c.hit_rate(), 0.5);
@@ -34,7 +34,7 @@ TEST(ReadOnlyCacheTest, PushOverwritesAndCounts) {
   c.fill(1, row(1, 9.99), 1);
   c.apply_push(1, row(1, 19.99), 2);
   auto entry = c.get(1);
-  ASSERT_TRUE(entry.has_value());
+  ASSERT_NE(entry, nullptr);
   EXPECT_DOUBLE_EQ(db::as_real(entry->row[1]), 19.99);
   EXPECT_EQ(entry->version, 2u);
   EXPECT_EQ(c.pushes_applied(), 1u);
@@ -64,10 +64,10 @@ TEST(ReadOnlyCacheTest, TimeoutInvalidationExpiresStaleEntries) {
   c.fill(1, row(1, 1.0), 1, SimTime::origin());
   // Fresh within the TTL.
   auto fresh = c.get_if_fresh(1, SimTime::origin() + ms(500), sim::sec(1));
-  EXPECT_TRUE(fresh.has_value());
+  EXPECT_NE(fresh, nullptr);
   // Expired past the TTL: entry dropped, counted as a miss.
   auto expired = c.get_if_fresh(1, SimTime::origin() + sim::sec(2), sim::sec(1));
-  EXPECT_FALSE(expired.has_value());
+  EXPECT_EQ(expired, nullptr);
   EXPECT_EQ(c.timeout_invalidations(), 1u);
   EXPECT_FALSE(c.contains(1));
 }
@@ -77,7 +77,7 @@ TEST(ReadOnlyCacheTest, ZeroTtlNeverExpires) {
   ReadOnlyCache c{"Item"};
   c.fill(1, row(1, 1.0), 1, SimTime::origin());
   auto entry = c.get_if_fresh(1, SimTime::origin() + sim::sec(3600), sim::Duration::zero());
-  EXPECT_TRUE(entry.has_value());
+  EXPECT_NE(entry, nullptr);
   EXPECT_EQ(c.timeout_invalidations(), 0u);
 }
 
@@ -88,7 +88,7 @@ TEST(ReadOnlyCacheTest, PushRefreshesTheTtlClock) {
   c.apply_push(1, row(1, 2.0), 2, SimTime::origin() + sim::sec(10));
   // 11s after the fill but only 1s after the push: still fresh.
   auto entry = c.get_if_fresh(1, SimTime::origin() + sim::sec(11), sim::sec(5));
-  ASSERT_TRUE(entry.has_value());
+  ASSERT_NE(entry, nullptr);
   EXPECT_DOUBLE_EQ(db::as_real(entry->row[1]), 2.0);
 }
 
@@ -101,7 +101,7 @@ TEST(ReadOnlyCacheTest, ReorderedPushKeepsNewerEntry) {
   c.apply_push(1, row(1, 2.0), 2);
   c.apply_push(1, row(1, 1.0), 1);  // late, older: must not regress
   auto entry = c.get(1);
-  ASSERT_TRUE(entry.has_value());
+  ASSERT_NE(entry, nullptr);
   EXPECT_EQ(entry->version, 2u);
   EXPECT_DOUBLE_EQ(db::as_real(entry->row[1]), 2.0);
   EXPECT_EQ(c.pushes_applied(), 1u);
@@ -215,10 +215,10 @@ TEST(ConsistencyTrackerTest, AllocationEntriesAreReclaimedWhenMasterCatchesUp) {
 
 TEST(QueryCacheTest, FillGetInvalidate) {
   QueryCache qc;
-  EXPECT_FALSE(qc.get("k1").has_value());
+  EXPECT_EQ(qc.get("k1"), nullptr);
   qc.fill("k1", {row(1, 1.0), row(2, 2.0)}, 5);
   auto entry = qc.get("k1");
-  ASSERT_TRUE(entry.has_value());
+  ASSERT_NE(entry, nullptr);
   EXPECT_EQ(entry->rows.size(), 2u);
   EXPECT_EQ(entry->version, 5u);
   qc.invalidate("k1");
@@ -246,7 +246,7 @@ TEST(QueryCacheTest, PushRefreshReplacesRows) {
   qc.fill("k", {row(1, 1.0)}, 1);
   qc.apply_push("k", {row(1, 1.0), row(2, 2.0)}, 2);
   auto entry = qc.get("k");
-  ASSERT_TRUE(entry.has_value());
+  ASSERT_NE(entry, nullptr);
   EXPECT_EQ(entry->rows.size(), 2u);
   EXPECT_EQ(qc.pushes_applied(), 1u);
 }
@@ -259,7 +259,7 @@ TEST(QueryCacheTest, ReorderedPushKeepsNewerRows) {
   qc.apply_push("k", {row(1, 1.0), row(2, 2.0)}, 2);
   qc.apply_push("k", {row(1, 1.0)}, 1);  // late, older: must not regress
   auto entry = qc.get("k");
-  ASSERT_TRUE(entry.has_value());
+  ASSERT_NE(entry, nullptr);
   EXPECT_EQ(entry->version, 2u);
   EXPECT_EQ(entry->rows.size(), 2u);
   EXPECT_EQ(qc.pushes_applied(), 1u);
@@ -451,8 +451,8 @@ TEST(MergeIntoTest, CoalescedDeliveryEqualsIndividualDeliveryUnderReordering) {
   for (const auto& [pk, e] : want) {
     auto ea = a.get(pk);
     auto eb = b.get(pk);
-    ASSERT_TRUE(ea.has_value());
-    ASSERT_TRUE(eb.has_value());
+    ASSERT_NE(ea, nullptr);
+    ASSERT_NE(eb, nullptr);
     EXPECT_EQ(ea->version, e.version) << "pk " << pk;
     EXPECT_EQ(eb->version, e.version) << "pk " << pk;
     EXPECT_EQ(ea->row, e.row) << "pk " << pk;
@@ -473,7 +473,7 @@ TEST(MergeIntoTest, QueryRefreshMergeNeverRollsBackAQueryCache) {
   EXPECT_EQ(lagging.queries[0].version, 3u);  // merge kept the newer refresh
   qc.apply_push("k", lagging.queries[0].rows, lagging.queries[0].version);
   auto entry = qc.get("k");
-  ASSERT_TRUE(entry.has_value());
+  ASSERT_NE(entry, nullptr);
   EXPECT_EQ(entry->version, 5u);  // replica rejected the whole lagging batch
   EXPECT_EQ(qc.stale_pushes_rejected(), 1u);
 }

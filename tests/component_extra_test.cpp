@@ -5,6 +5,7 @@
 #include "component/deployment.hpp"
 #include "component/model.hpp"
 #include "component/runtime.hpp"
+#include "core/placement/graph.hpp"
 #include "net/network.hpp"
 #include "net/rmi.hpp"
 #include "net/topology.hpp"
@@ -285,6 +286,174 @@ TEST(RuntimeExtraTest, QueryClassNamesUseAggregateOrTable) {
     (void)co_await rt.invoke(w.main, "Q", "both", {});
   }(rt, w));
   EXPECT_TRUE(rt.interaction_profile().contains({"Q", "query:item"}));
+}
+
+// --- names resolve to ids once; the report edges keep name order ---------------
+
+/// Adds "Zeta" (a page) and then "Alpha" (a façade) to the World's app —
+/// out of name order — with one method of each kind of interaction: a call
+/// through a handle, a call by name, an entity read, a cached query and raw
+/// JDBC.
+DeploymentPlan define_out_of_order(World& w) {
+  auto& zeta = w.app.define("Zeta", ComponentKind::kServlet);
+  auto& alpha = w.app.define("Alpha", ComponentKind::kStatelessSessionBean);
+  alpha.method({.name = "run",
+                .cpu = Duration::zero(),
+                .body = [](CallContext& ctx) -> Task<void> {
+                  (void)co_await ctx.read_entity("Item", 4);
+                  (void)co_await ctx.cached_query(Query::finder("item", "id", std::int64_t{1}));
+                  (void)co_await ctx.direct_query(Query::pk_lookup("item", 2));
+                }});
+  zeta.method({.name = "page",
+               .cpu = Duration::zero(),
+               .body = [run = w.app.method_ref("Alpha", "run")](CallContext& ctx) -> Task<void> {
+                 (void)co_await ctx.call(run, {});
+                 (void)co_await ctx.call("Facade", "get", std::int64_t{5});
+               }});
+  DeploymentPlan plan = w.caching_plan();
+  plan.place("Zeta", w.main);
+  plan.place("Alpha", w.main);
+  return plan;
+}
+
+Runtime::InteractionProfile expected_profile() {
+  // Method calls carry 200 + 400 bytes, entity reads 256, cached queries
+  // 1024, raw JDBC 400; two pages.
+  Runtime::InteractionProfile p;
+  p[{"Alpha", "Item"}] = {.calls = 2, .writes = 0, .bytes = 512};
+  p[{"Alpha", "__database__"}] = {.calls = 2, .writes = 0, .bytes = 800};
+  p[{"Alpha", "query:item"}] = {.calls = 2, .writes = 0, .bytes = 2048};
+  p[{"Facade", "Item"}] = {.calls = 2, .writes = 0, .bytes = 512};
+  p[{"Zeta", "Alpha"}] = {.calls = 2, .writes = 0, .bytes = 1200};
+  p[{"Zeta", "Facade"}] = {.calls = 2, .writes = 0, .bytes = 1200};
+  p[{"__client__", "Zeta"}] = {.calls = 2, .writes = 0, .bytes = 1200};
+  return p;
+}
+
+void two_pages(World& w, Runtime& rt) {
+  w.drain([](Runtime& rt, World& w) -> Task<void> {
+    for (int i = 0; i < 2; ++i) (void)co_await rt.invoke(w.main, "Zeta", "page", {});
+  }(rt, w));
+}
+
+TEST(NameResolutionTest, IdsFollowNameOrderWhateverTheDefinitionOrder) {
+  World w;
+  (void)define_out_of_order(w);
+  EXPECT_EQ(w.app.component("Alpha").id(), 0u);
+  EXPECT_EQ(w.app.component("Facade").id(), 1u);
+  EXPECT_EQ(w.app.component("Zeta").id(), 2u);
+  EXPECT_EQ(&w.app.component(ComponentId{2}), &w.app.component("Zeta"));
+}
+
+TEST(NameResolutionTest, ProfileOfAnOutOfOrderAppIsNameOrderedWithTodaysCounts) {
+  World w;
+  Runtime& rt = w.start(define_out_of_order(w));
+  two_pages(w, rt);
+  const Runtime::InteractionProfile got = rt.interaction_profile();
+  const Runtime::InteractionProfile want = expected_profile();
+  ASSERT_EQ(got.size(), want.size());
+  auto g = got.begin();
+  for (const auto& [edge, stat] : want) {
+    EXPECT_EQ(g->first, edge);  // iteration order is name order
+    EXPECT_EQ(g->second.calls, stat.calls) << edge.first << "->" << edge.second;
+    EXPECT_EQ(g->second.writes, stat.writes) << edge.first << "->" << edge.second;
+    EXPECT_EQ(g->second.bytes, stat.bytes) << edge.first << "->" << edge.second;
+    ++g;
+  }
+}
+
+TEST(NameResolutionTest, PlacementGraphOverTheProfileIsUnchangedAndResetEmptiesIt) {
+  World w;
+  Runtime& rt = w.start(define_out_of_order(w));
+  two_pages(w, rt);
+  core::placement::GraphBuildOptions opts;
+  opts.window = sim::sec(60);
+  const std::string measured =
+      core::placement::build_graph(rt.interaction_profile(), w.app, opts).describe();
+  const std::string reference =
+      core::placement::build_graph(expected_profile(), w.app, opts).describe();
+  EXPECT_EQ(measured, reference);
+
+  rt.reset_interaction_profile();
+  EXPECT_TRUE(rt.interaction_profile().empty());
+  two_pages(w, rt);  // counting resumes from zero
+  EXPECT_EQ(rt.interaction_profile().at({"__client__", "Zeta"}).calls, 2u);
+}
+
+TEST(NameResolutionTest, UnknownNamesThrowTodaysMessagesAtEveryEntryPoint) {
+  World w;
+  auto& caller = w.app.define("Caller", ComponentKind::kStatelessSessionBean);
+  caller.method({.name = "noComponent", .cpu = Duration::zero(),
+                 .body = [](CallContext& ctx) -> Task<void> {
+                   (void)co_await ctx.call("Nope", "get", {});
+                 }});
+  caller.method({.name = "noMethod", .cpu = Duration::zero(),
+                 .body = [](CallContext& ctx) -> Task<void> {
+                   (void)co_await ctx.call("Facade", "nope", {});
+                 }});
+  caller.method({.name = "readGhost", .cpu = Duration::zero(),
+                 .body = [](CallContext& ctx) -> Task<void> {
+                   (void)co_await ctx.read_entity("Ghost", 1);
+                 }});
+  caller.method({.name = "writeGhost", .cpu = Duration::zero(),
+                 .body = [](CallContext& ctx) -> Task<void> {
+                   co_await ctx.write_entity("Ghost", 1, "price", 1.0);
+                 }});
+  caller.method({.name = "insertGhost", .cpu = Duration::zero(),
+                 .body = [](CallContext& ctx) -> Task<void> {
+                   Row row{std::int64_t{99}};  // named: GCC 12 and braced temporaries
+                   co_await ctx.insert_row("Ghost", std::move(row));
+                 }});
+  caller.method({.name = "unplaced", .cpu = Duration::zero(),
+                 .body = [](CallContext& ctx) -> Task<void> {
+                   (void)co_await ctx.call("Lonely", "get", {});
+                 }});
+  w.app.define("Lonely", ComponentKind::kStatelessSessionBean)
+      .method({.name = "get", .cpu = Duration::zero()});
+  DeploymentPlan plan = w.caching_plan();
+  plan.place("Caller", w.main);
+  Runtime& rt = w.start(std::move(plan));
+
+  // Resolved before the call starts (by name at the edge, or a handle).
+  auto message = [](auto&& f) -> std::string {
+    try {
+      f();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "";
+  };
+  EXPECT_EQ(message([&] { (void)rt.invoke(w.main, "Nope", "get"); }),
+            "Application extra: no component Nope");
+  EXPECT_EQ(message([&] { (void)rt.invoke(w.main, "Facade", "nope"); }),
+            "ComponentDef Facade: no method nope");
+  EXPECT_EQ(message([&] { (void)w.app.method_ref("Nope", "get"); }),
+            "Application extra: no component Nope");
+  EXPECT_EQ(message([&] { (void)w.app.method_ref("Facade", "nope"); }),
+            "ComponentDef Facade: no method nope");
+  EXPECT_EQ(message([&] { (void)rt.entity_table("Ghost"); }),
+            "Runtime: entity not bound to a table: Ghost");
+
+  // Resolved inside a running call tree.
+  const std::vector<std::pair<std::string, std::string>> inside = {
+      {"noComponent", "Application extra: no component Nope"},
+      {"noMethod", "ComponentDef Facade: no method nope"},
+      {"readGhost", "Runtime: entity not bound to a table: Ghost"},
+      {"writeGhost", "Runtime: entity not bound to a table: Ghost"},
+      {"insertGhost", "Runtime: entity not bound to a table: Ghost"},
+      {"unplaced", "DeploymentPlan: component not placed: Lonely"},
+  };
+  for (const auto& [method, want] : inside) {
+    std::string got;
+    w.drain([](Runtime& rt, World& w, std::string method, std::string& got) -> Task<void> {
+      try {
+        (void)co_await rt.invoke(w.main, "Caller", method, {});
+      } catch (const std::invalid_argument& e) {
+        got = e.what();
+      }
+    }(rt, w, method, got));
+    EXPECT_EQ(got, want) << method;
+  }
 }
 
 }  // namespace

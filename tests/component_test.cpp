@@ -479,7 +479,7 @@ TEST(RuntimeTest, AsyncUpdatesEventuallyReachReplicas) {
   }(rt, w));
   // After the simulator drained everything, the replica holds the new value.
   auto entry = rt.ro_cache(w.edge1, "Item").get(2);
-  ASSERT_TRUE(entry.has_value());
+  ASSERT_NE(entry, nullptr);
   EXPECT_DOUBLE_EQ(db::as_real(entry->row[2]), 99.0);
 }
 
@@ -581,15 +581,17 @@ TEST(RuntimeTest, UnboundEntityThrows) {
 // --- stub cache ---------------------------------------------------------------------
 
 TEST(StubCacheTest, FirstUseMissesThenHits) {
+  constexpr ComponentId kFacade = 0;
+  constexpr ComponentId kOther = 1;
   StubCache sc;
-  EXPECT_TRUE(sc.need_stub_exchange(NodeId{1}, "Facade"));
-  EXPECT_FALSE(sc.need_stub_exchange(NodeId{1}, "Facade"));
-  EXPECT_TRUE(sc.need_stub_exchange(NodeId{2}, "Facade"));   // per-node
-  EXPECT_TRUE(sc.need_stub_exchange(NodeId{1}, "Other"));    // per-component
+  EXPECT_TRUE(sc.need_stub_exchange(NodeId{1}, kFacade));
+  EXPECT_FALSE(sc.need_stub_exchange(NodeId{1}, kFacade));
+  EXPECT_TRUE(sc.need_stub_exchange(NodeId{2}, kFacade));   // per-node
+  EXPECT_TRUE(sc.need_stub_exchange(NodeId{1}, kOther));    // per-component
   EXPECT_EQ(sc.hits(), 1u);
   EXPECT_EQ(sc.misses(), 3u);
   sc.clear();
-  EXPECT_TRUE(sc.need_stub_exchange(NodeId{1}, "Facade"));
+  EXPECT_TRUE(sc.need_stub_exchange(NodeId{1}, kFacade));
 }
 
 // --- lock manager --------------------------------------------------------------------

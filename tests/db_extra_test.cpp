@@ -249,5 +249,43 @@ TEST(TableIndexTest, FullRowUpdateValidatesColumnTypes) {
   EXPECT_EQ(as_text((*t.get(1))[2]), "n1");
 }
 
+// --- query-cache keys ------------------------------------------------------------
+
+TEST(QueryCacheKeyTest, KeysOfIntAndPlainTextQueriesAreByteForBytePinned) {
+  // The key's length feeds migration transfer bytes, so the keys every app
+  // produces (int and separator-free text parameters) must never move.
+  EXPECT_EQ(Query::finder("item", "product_id", std::int64_t{7}).cache_key(),
+            "finder:item::product_id:0:#i7");
+  EXPECT_EQ(Query::aggregate("bids_for_item", {std::int64_t{42}}).cache_key(),
+            "aggregate::bids_for_item::0:#i0#i42");
+  EXPECT_EQ(Query::pk_lookup("item", 1001001).cache_key(), "pk-lookup:item:::1001001:#i0");
+  EXPECT_EQ(Query::keyword_search("product", "name", "fish").cache_key(),
+            "keyword-search:product::name:0:fish#i0");
+}
+
+TEST(QueryCacheKeyTest, RealsKeyExactlySoNearbyValuesStayDistinct) {
+  // Six significant digits would print both as 0.123457 and let one query's
+  // cached rows answer the other.
+  const std::string a = Query::finder("items", "price", 0.1234567).cache_key();
+  const std::string b = Query::finder("items", "price", 0.1234568).cache_key();
+  EXPECT_NE(a, b);
+  EXPECT_EQ(a, "finder:items::price:0:#r0.1234567");
+}
+
+TEST(QueryCacheKeyTest, SeparatorsInsideTextCannotForgeAnotherQuerysKey) {
+  const std::string forged = Query::aggregate("x", {Value{std::string{"a#i1"}}}).cache_key();
+  const std::string real =
+      Query::aggregate("x", {Value{std::string{"a"}}, Value{std::int64_t{1}}}).cache_key();
+  EXPECT_NE(forged, real);
+  EXPECT_EQ(real, "aggregate::x::0:#i0#ta#i1");
+  // The field separator and the escape itself are escaped too: a text
+  // ending in the escape must not swallow the next value's separator.
+  Query shifted = Query::keyword_search("t", ":c", "kw");
+  shifted.aggregate_name = "x";
+  EXPECT_NE(Query::keyword_search("t:x", "c", "kw").cache_key(), shifted.cache_key());
+  EXPECT_NE(Query::aggregate("x", {Value{std::string{"a\\"}}, Value{std::int64_t{1}}}).cache_key(),
+            forged);
+}
+
 }  // namespace
 }  // namespace mutsvc::db

@@ -256,6 +256,11 @@ const EpochCase kEpochs[] = {
     {"canary_s2", 2, 0.4},
 };
 
+// gtest would otherwise print the struct as a byte dump of its pointers,
+// which address-space randomization changes on every run; the dump lands
+// in the ctest test names, so they would differ from build to build.
+void PrintTo(const EpochCase& c, std::ostream* os) { *os << c.name; }
+
 class MigrationEpoch : public ::testing::TestWithParam<EpochCase> {};
 
 TEST_P(MigrationEpoch, ConservesRequestsAndKeepsVersionsMonotone) {

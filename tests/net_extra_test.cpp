@@ -164,5 +164,38 @@ TEST(TopologyExtraTest, RoutesRecomputeAfterAddingBetterLink) {
   EXPECT_NEAR(topo.path_latency(a, b).as_millis(), 10.0, 0.01);
 }
 
+TEST(TopologyExtraTest, InFlightMessageKeepsItsHopsWhenAFlapRebuildsRoutes) {
+  // a -> c goes a-b-c (20 ms) while b-c is up, else a-c direct (50 ms). A
+  // flap of b-c while the first message is on a-b rebuilds the routes; the
+  // message still finishes over the hops it started with, and the next
+  // message takes the new route.
+  Simulator sim;
+  net::Topology topo{sim};
+  const NodeId a = topo.add_node("a", NodeRole::kAppServer);
+  const NodeId b = topo.add_node("b", NodeRole::kAppServer);
+  const NodeId c = topo.add_node("c", NodeRole::kAppServer);
+  topo.add_link(a, b, ms(10));
+  topo.add_link(b, c, ms(10));
+  topo.add_link(a, c, ms(50));
+  net::Network net{sim, topo, Duration::zero()};
+  double first_ms = -1.0;
+  double second_ms = -1.0;
+  sim.spawn([](Simulator& sim, Network& net, NodeId a, NodeId c, double& out) -> Task<void> {
+    co_await net.deliver(a, c, 100);
+    out = sim.now().as_millis();
+  }(sim, net, a, c, first_ms));
+  sim.schedule_at(SimTime::origin() + ms(5), [&topo, b, c] { topo.set_link_state(b, c, false); });
+  sim.schedule_at(SimTime::origin() + ms(6), [&] {
+    sim.spawn([](Simulator& sim, Network& net, NodeId a, NodeId c, double& out) -> Task<void> {
+      const SimTime t0 = sim.now();
+      co_await net.deliver(a, c, 100);
+      out = (sim.now() - t0).as_millis();
+    }(sim, net, a, c, second_ms));
+  });
+  sim.run_until();
+  EXPECT_NEAR(first_ms, 20.0, 0.01);   // a-b-c, as routed when it left
+  EXPECT_NEAR(second_ms, 50.0, 0.01);  // a-c, the rebuilt route
+}
+
 }  // namespace
 }  // namespace mutsvc::net

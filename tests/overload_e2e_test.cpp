@@ -171,6 +171,11 @@ const OverloadCase kCases[] = {
     {"async_spill_lossy", ConfigLevel::kAsyncUpdates, OverflowPolicy::kLocalOverflow, 0.01},
 };
 
+// gtest would otherwise print the struct as a byte dump of its pointers,
+// which address-space randomization changes on every run; the dump lands
+// in the ctest test names, so they would differ from build to build.
+void PrintTo(const OverloadCase& c, std::ostream* os) { *os << c.name; }
+
 class OverloadLadder : public ::testing::TestWithParam<OverloadCase> {};
 
 TEST_P(OverloadLadder, ConservationHoldsUnderPressureAndFaults) {

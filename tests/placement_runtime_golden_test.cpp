@@ -159,9 +159,18 @@ TEST_P(PlacementRuntimeGoldenTest, IdlePlacementRuntimeMatchesSeedGoldens) {
       << ": enabling the (idle) placement runtime perturbed the response summaries";
 }
 
+std::string case_name(const GoldenCase& g) {
+  std::string level = level_name(g.level);
+  return std::string(g.app) + "_" + level.substr(level.find("::k") + 3);
+}
+
+// gtest would otherwise print the struct as a byte dump of its pointers,
+// which address-space randomization changes on every run; the dump lands
+// in the ctest test names, so they would differ from build to build.
+void PrintTo(const GoldenCase& g, std::ostream* os) { *os << case_name(g); }
+
 std::string golden_name(const ::testing::TestParamInfo<GoldenCase>& info) {
-  std::string level = level_name(info.param.level);
-  return std::string(info.param.app) + "_" + level.substr(level.find("::k") + 3);
+  return case_name(info.param);
 }
 
 INSTANTIATE_TEST_SUITE_P(Ladder, PlacementRuntimeGoldenTest, ::testing::ValuesIn(kGolden),

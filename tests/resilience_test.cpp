@@ -137,7 +137,7 @@ TEST(CacheRaceTest, StalePullCannotClobberNewerPush) {
   // version 4: it must be rejected.
   c.fill(1, db::Row{std::int64_t{1}, std::int64_t{11}}, /*version=*/4);
   auto entry = c.get(1);
-  ASSERT_TRUE(entry.has_value());
+  ASSERT_NE(entry, nullptr);
   EXPECT_EQ(db::as_int(entry->row[1]), 99);
   EXPECT_EQ(c.stale_fills_rejected(), 1u);
 }
@@ -147,7 +147,7 @@ TEST(CacheRaceTest, QueryCacheFillIsVersionMonotonic) {
   qc.apply_push("k", {db::Row{std::int64_t{2}}}, 7);
   qc.fill("k", {db::Row{std::int64_t{1}}}, 3);
   auto entry = qc.get("k");
-  ASSERT_TRUE(entry.has_value());
+  ASSERT_NE(entry, nullptr);
   EXPECT_EQ(entry->version, 7u);
 }
 
@@ -694,7 +694,7 @@ TEST(CoalescingFaultTest, PartitionNeverRollsReplicaBackOrDropsFinalState) {
   // No dropped final state: the replica holds each key's newest version.
   for (const auto& [pk, e] : newest) {
     auto entry = replica.get(pk);
-    ASSERT_TRUE(entry.has_value()) << "pk " << pk;
+    ASSERT_NE(entry, nullptr) << "pk " << pk;
     EXPECT_EQ(entry->version, e.version) << "pk " << pk;
     EXPECT_EQ(entry->row, e.row) << "pk " << pk;
   }
@@ -769,7 +769,7 @@ TEST(CoalescingFaultTest, ShardedCoalescedRunConvergesEdgeReplicasUnderLoss) {
     cache::ReadOnlyCache& replica = exp.runtime().ro_cache(edge, "Inventory");
     for (const db::Row& row : master) {
       auto entry = replica.get(db::as_int(row[0]));
-      if (!entry.has_value()) continue;  // never read or pushed at this edge
+      if (entry == nullptr) continue;  // never read or pushed at this edge
       ++compared;
       EXPECT_EQ(entry->row, row) << "edge " << edge.value() << " pk " << db::as_int(row[0]);
     }

@@ -271,6 +271,11 @@ const ConservationCase kLadder[] = {
     {"async_s4_coalesced", core::ConfigLevel::kAsyncUpdates, 4, 20.0},
 };
 
+// gtest would otherwise print the struct as a byte dump of its pointers,
+// which address-space randomization changes on every run; the dump lands
+// in the ctest test names, so they would differ from build to build.
+void PrintTo(const ConservationCase& c, std::ostream* os) { *os << c.name; }
+
 class ConservationLadder : public ::testing::TestWithParam<ConservationCase> {};
 
 TEST_P(ConservationLadder, IssuedEqualsCompletedPlusFailed) {
