@@ -17,6 +17,10 @@
 //    response-time histogram is exported as `hist_*` metrics — these are
 //    simulated counts, so benchstat holds them bit-identical across runs
 //    and MUTSVC_JOBS values (wall-clock load on the host cannot move them).
+//    The run also counts global `operator new` calls per completed page
+//    and aborts above a ceiling. The count is printed, not recorded: it
+//    depends on the standard-library build, which benchstat's exact match
+//    on deterministic metrics cannot allow for.
 //  - kernel.sessions: one million concurrent sessions held as 40-byte FSM
 //    records in the SessionFsmEngine arena (DESIGN §16) against a local
 //    fixed-latency executor. Aborts if memory-per-session leaves its budget
@@ -31,6 +35,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <memory>
+#include <new>
 #include <optional>
 #include <string>
 #include <thread>
@@ -50,6 +55,23 @@
 #include "workload/session_fsm.hpp"
 
 using namespace mutsvc;
+
+namespace {
+
+/// Global `operator new` calls so far (the bench is single-threaded).
+std::uint64_t g_allocations = 0;
+
+}  // namespace
+
+// Out of line, so GCC never sees `malloc` meet `operator delete` or `new`
+// meet `free` and warn (-Wmismatched-new-delete): the pair is matched.
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  ++g_allocations;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -141,6 +163,11 @@ perf::Benchmark bench_indexed_finder() {
 }
 
 perf::Benchmark bench_response_hist() {
+  // About 10% over the measured 39.3 (MUTSVC_FAST) and 36.6 (full length)
+  // allocations per page. A coroutine frame per CPU or link service call
+  // (55.1 per page under MUTSVC_FAST) breaks it.
+  constexpr double kAllocationsPerPageCeiling = 43.0;
+
   apps::petstore::PetStoreApp app;
   core::ExperimentSpec spec;
   spec.level = core::ConfigLevel::kStatefulComponentCaching;
@@ -149,8 +176,23 @@ perf::Benchmark bench_response_hist() {
   core::Experiment exp{app.driver(), spec, core::petstore_calibration()};
   exp.enable_metrics(sim::sec(10));
   perf::WallTimer timer;
+  const std::uint64_t allocations_before = g_allocations;
   exp.run();
+  const std::uint64_t allocations = g_allocations - allocations_before;
   const double wall = timer.seconds();
+
+  const auto pages = static_cast<double>(exp.requests_completed());
+  const double allocations_per_page = static_cast<double>(allocations) / pages;
+  std::printf("experiment.response_hist: %llu allocations over %.0f pages, %.1f per page "
+              "(ceiling %.0f)\n",
+              static_cast<unsigned long long>(allocations), pages, allocations_per_page,
+              kAllocationsPerPageCeiling);
+  if (allocations_per_page > kAllocationsPerPageCeiling) {
+    std::cerr << "bench_kernel: experiment.response_hist makes " << allocations_per_page
+              << " allocations per page, above the " << kAllocationsPerPageCeiling
+              << " ceiling\n";
+    std::exit(1);
+  }
 
   perf::Benchmark b{"experiment.response_hist", {}};
   b.add("samples", static_cast<double>(exp.results().total_samples()));

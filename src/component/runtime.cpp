@@ -13,14 +13,11 @@ const DeploymentPlan& CallContext::plan() const { return rt_.plan(); }
 bool CallContext::has(Feature f) const { return rt_.plan().has(f); }
 
 sim::Task<void> CallContext::cpu(sim::Duration d) {
-  if (trace_ == nullptr) return rt_.topology().node(node_).cpu->consume(d);
+  const sim::SimTime t0 = rt_.simulator().now();
+  co_await rt_.topology().node(node_).cpu->consume(d);
   // Traced: bill the consume (including CPU queueing) so the flat totals
   // stay additive with the measured response time.
-  return [](Runtime& rt, net::NodeId node, sim::Duration d, TraceSink* trace) -> sim::Task<void> {
-    const sim::SimTime t0 = rt.simulator().now();
-    co_await rt.topology().node(node).cpu->consume(d);
-    trace->add(SpanKind::kCpu, rt.simulator().now() - t0);
-  }(rt_, node_, d, trace_);
+  if (trace_ != nullptr) trace_->add(SpanKind::kCpu, rt_.simulator().now() - t0);
 }
 
 sim::Task<CallResult> CallContext::call(MethodRef callee, std::vector<db::Value> args) {

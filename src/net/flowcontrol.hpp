@@ -186,9 +186,9 @@ class CreditGate {
     std::deque<std::coroutine_handle<>> parked = std::move(waiters_);
     waiters_.clear();
     for (std::coroutine_handle<> h : parked) {
-      // schedule_after(0) preserves FIFO order via the event heap's stable
-      // same-time tie-break.
-      sim_.schedule_after(sim::Duration::zero(), [h] { h.resume(); });
+      // A zero-delay resume preserves FIFO order via the event heap's
+      // stable same-time tie-break.
+      sim_.schedule_resume_after(sim::Duration::zero(), h);
     }
   }
 

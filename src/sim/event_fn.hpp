@@ -8,15 +8,18 @@
 
 namespace mutsvc::sim {
 
-/// Move-only type-erased callable tuned for the event loop's hot path.
+/// Move-only type-erased callable for the events that are not a bare
+/// coroutine resume.
 ///
-/// The overwhelmingly common event payload is a coroutine resume — an
-/// 8-byte `[h] { h.resume(); }` lambda that `Simulator::wait()` schedules
-/// millions of times per run. `EventFn` keeps any nothrow-movable callable
-/// up to `kInlineBytes` directly in the object (no allocation, no pointer
-/// chase on invoke); larger captures spill to a single heap block owned by
-/// the callable. Invocation, relocation, and destruction each cost one
-/// indirect call through a static vtable.
+/// Resumes (`Simulator::wait()`, resource and future hand-offs) ride in the
+/// heap node itself through `schedule_resume_at` and never build an
+/// `EventFn`. What remains are callbacks: fault-plan transitions, session
+/// timers, warm-up hooks and the hand-off that starts a queued
+/// `FifoResource::consume` hold. `EventFn` keeps any nothrow-movable
+/// callable up to `kInlineBytes` directly in the object (no allocation, no
+/// pointer chase on invoke); larger captures spill to a single heap block
+/// owned by the callable. Invocation, relocation, and destruction each cost
+/// one indirect call through a static vtable.
 class EventFn {
  public:
   /// Covers every capture list the simulation schedules today ([this]

@@ -36,7 +36,7 @@ struct FutureState {
     auto pending = std::move(waiters);
     waiters.clear();
     for (auto h : pending) {
-      sim->schedule_after(Duration::zero(), [h] { h.resume(); });
+      sim->schedule_resume_after(Duration::zero(), h);
     }
   }
 };

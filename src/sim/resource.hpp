@@ -3,11 +3,11 @@
 #include <coroutine>
 #include <cstddef>
 #include <deque>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
 #include "sim/simulator.hpp"
-#include "sim/task.hpp"
 #include "sim/time.hpp"
 
 namespace mutsvc::sim {
@@ -16,7 +16,9 @@ namespace mutsvc::sim {
 ///
 /// Requests are served in arrival order; each holder occupies one server
 /// until release. Tracks the busy-time integral so callers can compute
-/// utilization over a measurement window.
+/// utilization over a measurement window. `acquire()` holders (thread
+/// pools, `SimMutex`) and `consume(d)` holders (node CPUs, link
+/// serializers) queue on the same FIFO.
 class FifoResource {
  public:
   FifoResource(Simulator& sim, std::size_t servers, std::string name = "resource")
@@ -38,7 +40,7 @@ class FifoResource {
         }
         return false;
       }
-      void await_suspend(std::coroutine_handle<> h) { r.waiters_.push_back(h); }
+      void await_suspend(std::coroutine_handle<> h) { r.waiters_.push_back(Waiter{h, {}}); }
       void await_resume() const noexcept {}
     };
     return Awaiter{*this};
@@ -50,21 +52,44 @@ class FifoResource {
     accumulate_busy();
     --busy_;
     if (!waiters_.empty()) {
-      auto h = waiters_.front();
+      const Waiter w = waiters_.front();
       waiters_.pop_front();
       ++busy_;  // hand the slot straight to the next waiter
-      sim_.schedule_resume_after(Duration::zero(), h);
+      if (w.hold) {
+        // A queued consume(): the hand-off event starts its hold.
+        sim_.schedule_after(Duration::zero(), [&sim = sim_, h = w.h, d = *w.hold] {
+          sim.schedule_resume_after(d, h);
+        });
+      } else {
+        sim_.schedule_resume_after(Duration::zero(), w.h);
+      }
     } else {
       ++free_;
     }
   }
 
-  /// Acquires a server, holds it for `d`, releases. This is the common
-  /// "consume CPU" primitive.
-  [[nodiscard]] Task<void> consume(Duration d) {
-    co_await acquire();
-    co_await sim_.wait(d);
-    release();
+  /// Awaitable that acquires a server, holds it for `d` and releases it:
+  /// the "consume CPU" primitive. No coroutine frame: the caller itself
+  /// sleeps through the hold and releases on resume. A queued consumer
+  /// gets its slot through the same zero-delay hand-off event as an
+  /// `acquire()` waiter, and that event schedules the hold, so every event
+  /// keeps the time and order key of acquire + wait(d) + release.
+  [[nodiscard]] auto consume(Duration d) {
+    struct Awaiter {
+      FifoResource& r;
+      Duration d;
+      bool await_ready() const noexcept { return false; }
+      void await_suspend(std::coroutine_handle<> h) {
+        if (r.free_ > 0) {
+          r.take_slot();
+          r.sim_.schedule_resume_after(d, h);
+        } else {
+          r.waiters_.push_back(Waiter{h, d});
+        }
+      }
+      void await_resume() { r.release(); }
+    };
+    return Awaiter{*this, d};
   }
 
   [[nodiscard]] std::size_t servers() const { return servers_; }
@@ -99,11 +124,16 @@ class FifoResource {
     last_change_ = sim_.now();
   }
 
+  struct Waiter {
+    std::coroutine_handle<> h;
+    std::optional<Duration> hold;  // set for consume(d); empty for acquire()
+  };
+
   Simulator& sim_;
   std::size_t servers_;
   std::size_t free_;
   std::size_t busy_ = 0;
-  std::deque<std::coroutine_handle<>> waiters_;
+  std::deque<Waiter> waiters_;
   std::string name_;
   Duration busy_integral_ = Duration::zero();
   SimTime last_change_ = SimTime::origin();

@@ -407,6 +407,68 @@ TEST(FifoResourceTest, UtilizationResetsWindow) {
   EXPECT_NEAR(cpu.utilization(), 0.0, 1e-9);
 }
 
+// The hand-off contract: a queued consumer gets its slot through a zero-delay
+// event at the release, and that event schedules its hold. So a consume that
+// queued completes after same-time events scheduled before its hand-off (X
+// before B, Y before D), `acquire()` and `consume()` holders share one FIFO,
+// and the events are exactly those of acquire + wait(d) + release.
+using Log = std::vector<std::string>;
+
+void note(Log& log, Simulator& s, const std::string& what) {
+  log.push_back(what + "@" + std::to_string(s.now().count_micros() / 1000));
+}
+
+[[nodiscard]] Task<void> consumer(Simulator& s, FifoResource& r, Log& log, std::string name,
+                                  Duration d) {
+  co_await r.consume(d);
+  note(log, s, name);
+}
+
+[[nodiscard]] Task<void> acquirer(Simulator& s, FifoResource& r, Log& log, std::string name,
+                                  Duration d) {
+  co_await r.acquire();
+  note(log, s, name + "-in");
+  co_await s.wait(d);
+  note(log, s, name + "-out");
+  r.release();
+}
+
+TEST(FifoResourceTest, QueuedConsumeStartsItsHoldAtTheHandOff) {
+  Simulator sim;
+  FifoResource cpu{sim, 1};
+  Log log;
+  sim.spawn(consumer(sim, cpu, log, "A", ms(10)));
+  sim.spawn(consumer(sim, cpu, log, "B", ms(10)));
+  sim.spawn(acquirer(sim, cpu, log, "C", ms(5)));
+  sim.spawn(consumer(sim, cpu, log, "D", ms(10)));
+  sim.schedule_at(SimTime::origin() + ms(20), [&] { note(log, sim, "X"); });
+  sim.schedule_at(SimTime::origin() + ms(35), [&] { note(log, sim, "Y"); });
+  sim.run_until();
+  EXPECT_EQ(log, (Log{"A@10", "X@20", "B@20", "C-in@20", "C-out@25", "Y@35", "D@35"}));
+  EXPECT_EQ(sim.executed_events(), 9u);
+  EXPECT_EQ(cpu.utilization(), 1.0);
+  EXPECT_EQ(cpu.busy(), 0u);
+}
+
+TEST(FifoResourceTest, TwoServerHandOffsKeepArrivalOrder) {
+  Simulator sim;
+  FifoResource cpu{sim, 2};
+  Log log;
+  sim.spawn(consumer(sim, cpu, log, "A", ms(10)));
+  sim.spawn(consumer(sim, cpu, log, "B", ms(20)));
+  sim.spawn(consumer(sim, cpu, log, "C", ms(10)));
+  sim.spawn(acquirer(sim, cpu, log, "D", ms(5)));
+  sim.spawn(consumer(sim, cpu, log, "E", ms(10)));
+  sim.schedule_at(SimTime::origin() + ms(10), [&] { note(log, sim, "X"); });
+  sim.schedule_at(SimTime::origin() + ms(20), [&] { note(log, sim, "Y"); });
+  sim.run_until();
+  EXPECT_EQ(log, (Log{"A@10", "X@10", "B@20", "Y@20", "C@20", "D-in@20", "D-out@25", "E@30"}));
+  EXPECT_EQ(sim.executed_events(), 10u);
+  // Both servers busy for 25 ms, one for the last 5 ms of 30.
+  EXPECT_DOUBLE_EQ(cpu.utilization(), 55.0 / 60.0);
+  EXPECT_EQ(cpu.busy(), 0u);
+}
+
 TEST(SimMutexTest, MutualExclusionFifo) {
   Simulator sim;
   SimMutex m{sim};
