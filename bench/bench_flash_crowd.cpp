@@ -1,6 +1,6 @@
-// Flash-crowd overload bench (ISSUE 6): open-loop Poisson arrivals swept
-// from 1x to 10x the calibrated capacity, with overload protection off and
-// on. Self-checking:
+// Flash-crowd overload bench: open-loop Poisson session arrivals (the FSM
+// engine's arrival layer) swept from 1x to 10x the calibrated capacity,
+// with overload protection off and on. Self-checking:
 //   - protected: goodput at 10x stays within 90% of the protected 1x cell,
 //     and admitted-page p99 stays bounded (the service keeps its SLO by
 //     shedding at the door instead of collapsing in the queues);
@@ -29,6 +29,7 @@
 #include "core/sweep.hpp"
 #include "net/flowcontrol.hpp"
 #include "tools/perf/perfjson.hpp"
+#include "workload/arrivals.hpp"
 
 namespace {
 
@@ -43,6 +44,9 @@ using mutsvc::core::ExperimentSpec;
 // capacity is ~85 req/s — 10x offered load is >2x past capacity, and the
 // unprotected open-loop backlog grows without bound.
 constexpr double kBaseRate = 60.0;     // planned load, req/s (3 client groups)
+// Mean pages per session under the 80/20 mix: 20-page browsers (Table 2)
+// and 9-page buyers (Table 3). Sessions arrive at page rate / this.
+constexpr double kPagesPerSession = 0.8 * 20 + 0.2 * 9;
 constexpr double kSloMs = 2000.0;      // a page slower than this is not goodput
 constexpr double kAdmitPerEntry = 20.0;  // protected intake = the 1x per-entry share
 constexpr std::size_t kThreadsPerNode = 6;
@@ -80,8 +84,9 @@ CellResult run_cell(const Cell& cell, const ExperimentSpec& base) {
   mutsvc::apps::petstore::PetStoreApp app;
   ExperimentSpec spec = base;
   spec.level = ConfigLevel::kAsyncUpdates;
-  spec.open_loop_arrivals = true;
-  spec.total_request_rate = kBaseRate * cell.multiplier;
+  spec.fsm_load.enabled = true;
+  spec.fsm_load.arrivals =
+      mutsvc::workload::RateEnvelope::constant(kBaseRate * cell.multiplier / kPagesPerSession);
   spec.seed = 0xF1A5 + static_cast<std::uint64_t>(cell.multiplier * 10.0);
   if (cell.flow) {
     spec.flow.enabled = true;
@@ -172,7 +177,7 @@ int main() {
     throw std::logic_error("missing cell " + name);
   };
 
-  std::cout << "Flash crowd (PetStore async rung, open-loop Poisson, SLO " << kSloMs
+  std::cout << "Flash crowd (PetStore async rung, Poisson session arrivals, SLO " << kSloMs
             << "ms):\n";
   for (const CellResult& r : results) {
     std::cout << "  " << r.cell.name << ": offered " << kBaseRate * r.cell.multiplier

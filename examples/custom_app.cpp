@@ -12,6 +12,7 @@
 #include "core/calibration.hpp"
 #include "core/experiment.hpp"
 #include "core/report.hpp"
+#include "workload/session_fsm.hpp"
 
 using namespace mutsvc;
 using comp::CallContext;
@@ -24,75 +25,66 @@ namespace {
 
 constexpr int kArticles = 200;
 
-/// Reader session: front page, a few article views, one search.
-class ReaderSession final : public workload::SessionScript {
- public:
-  explicit ReaderSession(sim::RngStream rng) : rng_(std::move(rng)) {}
+// Each usage pattern is one step function: the page for 0-based `step`, or
+// nullopt to end the session, with every per-session value kept in the two
+// scratch words and draws made on whatever rng the driver hands in.
+// workload::step_factory replays it on the paper's coroutine driver and
+// workload::step_model on the million-session FSM engine.
 
-  std::optional<workload::PageRequest> next() override {
-    if (step_ >= 12) return std::nullopt;
-    ++step_;
+/// Reader pattern: front page, a few article views, one search.
+struct ReaderStep {
+  template <class Rng>
+  std::optional<workload::PageRequest> operator()(std::uint32_t step, workload::FsmScratch&,
+                                                  Rng& rng) const {
+    if (step >= 12) return std::nullopt;
     workload::PageRequest req;
     req.pattern = "Reader";
     req.component = "WikiWeb";
-    if (step_ == 1) {
+    if (step == 0) {
       req.page = "Front Page";
       req.method = "front";
-    } else if (step_ % 6 == 0) {
+    } else if ((step + 1) % 6 == 0) {
       req.page = "Search";
       req.method = "search";
       req.args = {Value{std::string{"history"}}};
     } else {
       req.page = "Article";
       req.method = "article";
-      req.args = {Value{rng_.uniform_int(1, kArticles)}};
+      req.args = {Value{rng.uniform_int(1, kArticles)}};
     }
     return req;
   }
-  const char* pattern() const override { return "Reader"; }
-
- private:
-  sim::RngStream rng_;
-  int step_ = 0;
 };
 
-/// Editor session: view an article, edit it, review the revision list.
-class EditorSession final : public workload::SessionScript {
- public:
-  explicit EditorSession(sim::RngStream rng) : rng_(std::move(rng)) {
-    article_ = rng_.uniform_int(1, kArticles);
-  }
-
-  std::optional<workload::PageRequest> next() override {
+/// Editor pattern: view an article, edit it, review the revision list. The
+/// article is drawn at step 0 and kept in scratch.w0.
+struct EditorStep {
+  template <class Rng>
+  std::optional<workload::PageRequest> operator()(std::uint32_t step,
+                                                  workload::FsmScratch& scratch,
+                                                  Rng& rng) const {
+    if (step == 0) scratch.w0 = static_cast<std::uint64_t>(rng.uniform_int(1, kArticles));
     workload::PageRequest req;
     req.pattern = "Editor";
     req.component = "WikiWeb";
-    switch (step_++) {
+    req.args = {Value{static_cast<std::int64_t>(scratch.w0)}};
+    switch (step) {
       case 0:
         req.page = "Article";
         req.method = "article";
-        req.args = {Value{article_}};
         return req;
       case 1:
         req.page = "Save Edit";
         req.method = "edit";
-        req.args = {Value{article_}};
         return req;
       case 2:
         req.page = "Revisions";
         req.method = "revisions";
-        req.args = {Value{article_}};
         return req;
       default:
         return std::nullopt;
     }
   }
-  const char* pattern() const override { return "Editor"; }
-
- private:
-  sim::RngStream rng_;
-  std::int64_t article_ = 1;
-  int step_ = 0;
 };
 
 struct WikiApp {
@@ -200,22 +192,16 @@ struct WikiApp {
       rt.bind_entity("Article", "article");
       rt.bind_entity("Revision", "revision");
     };
-    d.browser_factory = [](sim::RngStream rng) -> workload::SessionFactory {
-      auto master = std::make_shared<sim::RngStream>(std::move(rng));
-      auto n = std::make_shared<int>(0);
-      return [master, n] {
-        return std::unique_ptr<workload::SessionScript>(
-            new ReaderSession(master->fork(std::to_string((*n)++))));
-      };
+    d.browser_factory = [](sim::RngStream rng) {
+      return workload::step_factory("Reader", ReaderStep{}, std::move(rng));
     };
-    d.writer_factory = [](sim::RngStream rng) -> workload::SessionFactory {
-      auto master = std::make_shared<sim::RngStream>(std::move(rng));
-      auto n = std::make_shared<int>(0);
-      return [master, n] {
-        return std::unique_ptr<workload::SessionScript>(
-            new EditorSession(master->fork(std::to_string((*n)++))));
-      };
+    d.writer_factory = [](sim::RngStream rng) {
+      return workload::step_factory("Editor", EditorStep{}, std::move(rng));
     };
+    // The same two patterns on the FSM engine (ExperimentSpec::fsm_load);
+    // the wiki has no item-popularity model, so the Zipf exponent is unused.
+    d.fsm_browser_model = [](double) { return workload::step_model("Reader", ReaderStep{}); };
+    d.fsm_writer_model = [](double) { return workload::step_model("Editor", EditorStep{}); };
     d.table_pages = {{"Reader", "Front Page"},
                      {"Reader", "Article"},
                      {"Reader", "Search"},

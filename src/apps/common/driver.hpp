@@ -17,7 +17,12 @@
 namespace mutsvc::apps {
 
 /// Uniform handle the experiment harness uses to drive an application.
-/// Both PetStoreApp and RubisApp produce one via their `driver()` method.
+/// PetStoreApp, RubisApp and GridVizApp produce one via their `driver()`
+/// method.
+///
+/// Each usage pattern is one step function (workload/session_fsm.hpp); the
+/// two factories replay it on the coroutine driver (step_factory) and the
+/// two models on the FSM engine (step_model).
 struct AppDriver {
   std::string name;
   const comp::Application* app = nullptr;
@@ -26,10 +31,10 @@ struct AppDriver {
   std::function<void(comp::Runtime&)> bind_entities;
   std::function<workload::SessionFactory(sim::RngStream)> browser_factory;
   std::function<workload::SessionFactory(sim::RngStream)> writer_factory;
-  /// Optional FSM script models for the million-session load engine
-  /// (DESIGN §16): pure per-step functions over the 40-byte session record,
-  /// parameterized by the Zipf item-popularity exponent (0 = uniform). Apps
-  /// that leave these unset cannot run with ExperimentSpec::fsm_load.
+  /// FSM script models for the million-session load engine (DESIGN §16),
+  /// parameterized by the Zipf item-popularity exponent (0 = uniform; apps
+  /// without a popularity model ignore it). A driver that leaves these
+  /// unset is refused by ExperimentSpec::fsm_load.
   std::function<std::shared_ptr<const workload::FsmScriptModel>(double zipf_s)>
       fsm_browser_model;
   std::function<std::shared_ptr<const workload::FsmScriptModel>(double zipf_s)>

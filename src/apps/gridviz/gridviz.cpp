@@ -2,8 +2,10 @@
 
 #include <array>
 #include <memory>
+#include <string>
 
 #include "db/query.hpp"
+#include "workload/session_fsm.hpp"
 
 namespace mutsvc::apps::gridviz {
 
@@ -241,7 +243,7 @@ void GridVizApp::bind_entities(comp::Runtime& rt) const {
   rt.bind_entity("Operator", "operators");
 }
 
-// --- session scripts ------------------------------------------------------------
+// --- usage patterns, one step function each -------------------------------------
 
 namespace {
 
@@ -258,103 +260,95 @@ workload::PageRequest make_request(const char* pattern, std::string page, std::s
 }
 
 /// Analyst: open the catalog, pick a run, scrub frames, watch dashboards.
-class AnalystScript final : public workload::SessionScript {
- public:
-  AnalystScript(Shape shape, sim::RngStream rng) : shape_(shape), rng_(std::move(rng)) {}
+/// scratch.w0 holds the current dataset, scratch.w1 the current timestep.
+struct AnalystStep {
+  Shape shape;
 
-  std::optional<workload::PageRequest> next() override {
-    if (issued_ >= GridVizApp::kAnalystSessionLength) return std::nullopt;
-    ++issued_;
-    if (issued_ == 1) return make_request("Analyst", "Catalog", "catalog", {});
-    static constexpr std::array<double, 4> kWeights = {10, 10, 55, 25};
-    switch (rng_.weighted_index(kWeights)) {
-      case 0: return make_request("Analyst", "Catalog", "catalog", {});
-      case 1: {
-        dataset_ = rng_.uniform_int(1, shape_.datasets);
-        timestep_ = 0;
-        return make_request("Analyst", "Dataset", "dataset", {Value{dataset_}});
-      }
-      case 2: {
-        if (dataset_ == 0) dataset_ = rng_.uniform_int(1, shape_.datasets);
-        // Scrubbing walks forward through the sequence (temporal locality).
-        timestep_ = (timestep_ + static_cast<int>(rng_.uniform_int(1, 3))) %
-                    shape_.frames_per_dataset;
-        const std::int64_t frame = shape_.frame_id(dataset_, timestep_);
-        return make_request("Analyst", "Frame", "frame", {Value{frame}}, 48 * 1024);
-      }
-      default: {
-        if (dataset_ == 0) dataset_ = rng_.uniform_int(1, shape_.datasets);
-        return make_request("Analyst", "Dashboard", "dashboard", {Value{dataset_}});
-      }
+  template <class Rng>
+  std::optional<workload::PageRequest> operator()(std::uint32_t step,
+                                                  workload::FsmScratch& scratch,
+                                                  Rng& rng) const {
+    if (step >= static_cast<std::uint32_t>(GridVizApp::kAnalystSessionLength)) {
+      return std::nullopt;
     }
+    if (step == 0) return make_request("Analyst", "Catalog", "catalog", {});
+    auto dataset = static_cast<std::int64_t>(scratch.w0);
+    auto timestep = static_cast<int>(scratch.w1);
+    static constexpr std::array<double, 4> kWeights = {10, 10, 55, 25};
+    std::optional<workload::PageRequest> req;
+    switch (rng.weighted_index(kWeights)) {
+      case 0:
+        req = make_request("Analyst", "Catalog", "catalog", {});
+        break;
+      case 1:
+        dataset = rng.uniform_int(1, shape.datasets);
+        timestep = 0;
+        req = make_request("Analyst", "Dataset", "dataset", {Value{dataset}});
+        break;
+      case 2: {
+        if (dataset == 0) dataset = rng.uniform_int(1, shape.datasets);
+        // Scrubbing walks forward through the sequence (temporal locality).
+        timestep = (timestep + static_cast<int>(rng.uniform_int(1, 3))) %
+                   shape.frames_per_dataset;
+        const std::int64_t frame = shape.frame_id(dataset, timestep);
+        req = make_request("Analyst", "Frame", "frame", {Value{frame}}, 48 * 1024);
+        break;
+      }
+      default:
+        if (dataset == 0) dataset = rng.uniform_int(1, shape.datasets);
+        req = make_request("Analyst", "Dashboard", "dashboard", {Value{dataset}});
+        break;
+    }
+    scratch.w0 = static_cast<std::uint64_t>(dataset);
+    scratch.w1 = static_cast<std::uint64_t>(timestep);
+    return req;
   }
-
-  const char* pattern() const override { return "Analyst"; }
-
- private:
-  Shape shape_;
-  sim::RngStream rng_;
-  int issued_ = 0;
-  std::int64_t dataset_ = 0;
-  int timestep_ = 0;
 };
 
 /// Operator: authenticate, steer the run, stream instrument readings.
-class OperatorScript final : public workload::SessionScript {
- public:
-  OperatorScript(Shape shape, sim::RngStream rng) : shape_(shape), rng_(std::move(rng)) {
-    operator_ = rng_.uniform_int(1, shape_.operators);
-    dataset_ = rng_.uniform_int(1, shape_.datasets);
-    probe_ = shape_.probe_id(dataset_,
-                             static_cast<int>(rng_.uniform_int(0, shape_.probes_per_dataset - 1)));
-  }
+/// scratch.w0 packs the operator (low) and dataset (high), scratch.w1 holds
+/// the probe.
+struct OperatorStep {
+  Shape shape;
 
-  std::optional<workload::PageRequest> next() override {
-    const std::string login = "op" + std::to_string(operator_);
-    switch (step_++) {
-      case 0: return make_request("Operator", "Auth", "auth", {Value{login}});
+  template <class Rng>
+  std::optional<workload::PageRequest> operator()(std::uint32_t step,
+                                                  workload::FsmScratch& scratch,
+                                                  Rng& rng) const {
+    if (step == 0) {
+      const std::int64_t op = rng.uniform_int(1, shape.operators);
+      const std::int64_t dataset = rng.uniform_int(1, shape.datasets);
+      scratch.w0 = workload::FsmScratch::pack(op, dataset);
+      scratch.w1 = static_cast<std::uint64_t>(shape.probe_id(
+          dataset, static_cast<int>(rng.uniform_int(0, shape.probes_per_dataset - 1))));
+    }
+    const std::int64_t dataset = workload::FsmScratch::high(scratch.w0);
+    const auto probe = static_cast<std::int64_t>(scratch.w1);
+    switch (step) {
+      case 0: {
+        const std::string login = "op" + std::to_string(workload::FsmScratch::low(scratch.w0));
+        return make_request("Operator", "Auth", "auth", {Value{login}});
+      }
       case 1:
         return make_request("Operator", "Steer", "steer",
-                            {Value{dataset_}, Value{rng_.uniform(0.1, 9.9)}});
-      case 2: return make_request("Operator", "Append", "append", {Value{probe_}});
-      case 3: return make_request("Operator", "Dashboard", "dashboard", {Value{dataset_}});
-      case 4: return make_request("Operator", "Append", "append", {Value{probe_}});
-      case 5: return make_request("Operator", "Dashboard", "dashboard", {Value{dataset_}});
+                            {Value{dataset}, Value{rng.uniform(0.1, 9.9)}});
+      case 2: return make_request("Operator", "Append", "append", {Value{probe}});
+      case 3: return make_request("Operator", "Dashboard", "dashboard", {Value{dataset}});
+      case 4: return make_request("Operator", "Append", "append", {Value{probe}});
+      case 5: return make_request("Operator", "Dashboard", "dashboard", {Value{dataset}});
       default: return std::nullopt;
     }
   }
-
-  const char* pattern() const override { return "Operator"; }
-
- private:
-  Shape shape_;
-  sim::RngStream rng_;
-  int step_ = 0;
-  std::int64_t operator_ = 0;
-  std::int64_t dataset_ = 0;
-  std::int64_t probe_ = 0;
 };
 
 }  // namespace
 
 workload::SessionFactory GridVizApp::analyst_factory(sim::RngStream rng) const {
-  auto master = std::make_shared<sim::RngStream>(std::move(rng));
-  auto counter = std::make_shared<int>(0);
-  Shape shape = shape_;
-  return [master, counter, shape]() -> std::unique_ptr<workload::SessionScript> {
-    return std::make_unique<AnalystScript>(shape,
-                                           master->fork("s" + std::to_string((*counter)++)));
-  };
+  return workload::step_factory("Analyst", AnalystStep{shape_}, std::move(rng));
 }
 
 workload::SessionFactory GridVizApp::operator_factory(sim::RngStream rng) const {
-  auto master = std::make_shared<sim::RngStream>(std::move(rng));
-  auto counter = std::make_shared<int>(0);
-  Shape shape = shape_;
-  return [master, counter, shape]() -> std::unique_ptr<workload::SessionScript> {
-    return std::make_unique<OperatorScript>(shape,
-                                            master->fork("s" + std::to_string((*counter)++)));
-  };
+  return workload::step_factory("Operator", OperatorStep{shape_}, std::move(rng));
 }
 
 std::vector<std::pair<std::string, std::string>> GridVizApp::table_pages() {
@@ -372,6 +366,13 @@ AppDriver GridVizApp::driver() const {
   d.bind_entities = [this](comp::Runtime& rt) { bind_entities(rt); };
   d.browser_factory = [this](sim::RngStream rng) { return analyst_factory(std::move(rng)); };
   d.writer_factory = [this](sim::RngStream rng) { return operator_factory(std::move(rng)); };
+  // GridViz has no item-popularity model; the Zipf exponent is ignored.
+  d.fsm_browser_model = [this](double) {
+    return workload::step_model("Analyst", AnalystStep{shape_});
+  };
+  d.fsm_writer_model = [this](double) {
+    return workload::step_model("Operator", OperatorStep{shape_});
+  };
   d.table_pages = table_pages();
   d.browser_pattern = "Analyst";
   d.writer_pattern = "Operator";

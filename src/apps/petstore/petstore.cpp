@@ -2,8 +2,11 @@
 
 #include <array>
 #include <memory>
+#include <optional>
 
 #include "db/query.hpp"
+#include "workload/arrivals.hpp"
+#include "workload/session_fsm.hpp"
 
 namespace mutsvc::apps::petstore {
 
@@ -356,122 +359,20 @@ void PetStoreApp::bind_entities(comp::Runtime& rt) const {
   rt.bind_entity("LineItem", "lineitem");
 }
 
-// --- session scripts -----------------------------------------------------------
+// --- usage patterns (Tables 2 and 3), one step function each -------------------
 
 namespace {
 
-/// Table 2: 20 requests, Main 5% / Category 15% / Product 30% / Item 45% /
-/// Search 5%, logically ordered (an Item always belongs to the previously
-/// requested Product, a Product to the previous Category).
-class BrowserScript final : public workload::SessionScript {
- public:
-  BrowserScript(Shape shape, sim::RngStream rng) : shape_(shape), rng_(std::move(rng)) {}
-
-  std::optional<workload::PageRequest> next() override {
-    if (issued_ >= PetStoreApp::kBrowserSessionLength) return std::nullopt;
-    ++issued_;
-    if (issued_ == 1) return page("Main", "main", {});
-
-    static constexpr std::array<double, 5> kWeights = {5, 15, 30, 45, 5};
-    switch (rng_.weighted_index(kWeights)) {
-      case 0:
-        return page("Main", "main", {});
-      case 1: {
-        category_ = rng_.uniform_int(1, shape_.categories);
-        product_ = 0;
-        return page("Category", "category", {Value{category_}});
-      }
-      case 2: {
-        if (category_ == 0) category_ = rng_.uniform_int(1, shape_.categories);
-        product_ = shape_.product_id(
-            category_, static_cast<int>(rng_.uniform_int(0, shape_.products_per_category - 1)));
-        return page("Product", "product", {Value{product_}});
-      }
-      case 3: {
-        if (product_ == 0) {
-          if (category_ == 0) category_ = rng_.uniform_int(1, shape_.categories);
-          product_ = shape_.product_id(
-              category_, static_cast<int>(rng_.uniform_int(0, shape_.products_per_category - 1)));
-        }
-        std::int64_t item = shape_.item_id(
-            product_, static_cast<int>(rng_.uniform_int(0, shape_.items_per_product - 1)));
-        return page("Item", "item", {Value{item}});
-      }
-      default:
-        return page("Search", "search",
-                    {Value{std::string{rng_.pick(std::vector<std::string>{
-                        "fish", "dog", "cat", "bird", "snake"})}}});
-    }
-  }
-
-  const char* pattern() const override { return "Browser"; }
-
- private:
-  workload::PageRequest page(std::string name, std::string method, std::vector<Value> args) {
-    workload::PageRequest req;
-    req.page = std::move(name);
-    req.pattern = "Browser";
-    req.component = "PetStoreWeb";
-    req.method = std::move(method);
-    req.args = std::move(args);
-    return req;
-  }
-
-  Shape shape_;
-  sim::RngStream rng_;
-  int issued_ = 0;
-  std::int64_t category_ = 0;
-  std::int64_t product_ = 0;
-};
-
-/// Table 3: the fixed buyer scenario — sign in, buy one item, sign out.
-class BuyerScript final : public workload::SessionScript {
- public:
-  BuyerScript(Shape shape, sim::RngStream rng) : shape_(shape), rng_(std::move(rng)) {
-    account_ = rng_.uniform_int(1, shape_.accounts);
-    std::int64_t cat = rng_.uniform_int(1, shape_.categories);
-    std::int64_t prod = shape_.product_id(
-        cat, static_cast<int>(rng_.uniform_int(0, shape_.products_per_category - 1)));
-    item_ = shape_.item_id(prod,
-                           static_cast<int>(rng_.uniform_int(0, shape_.items_per_product - 1)));
-  }
-
-  std::optional<workload::PageRequest> next() override {
-    switch (step_++) {
-      case 0: return page("Main", "main", {});
-      case 1: return page("Signin", "signin", {});
-      case 2: return page("Verify Signin", "verifysignin", {Value{account_}});
-      case 3: return page("Shopping Cart", "cart", {Value{item_}});
-      case 4: return page("Checkout", "checkout", {});
-      case 5: return page("Place Order", "placeorder", {});
-      case 6: return page("Billing", "billing", {});
-      case 7: return page("Commit Order", "commitorder", {Value{account_}, Value{item_}});
-      case 8: return page("Signout", "signout", {});
-      default: return std::nullopt;
-    }
-  }
-
-  const char* pattern() const override { return "Buyer"; }
-
- private:
-  workload::PageRequest page(std::string name, std::string method, std::vector<Value> args) {
-    workload::PageRequest req;
-    req.page = std::move(name);
-    req.pattern = "Buyer";
-    req.component = "PetStoreWeb";
-    req.method = std::move(method);
-    req.args = std::move(args);
-    return req;
-  }
-
-  Shape shape_;
-  sim::RngStream rng_;
-  int step_ = 0;
-  std::int64_t account_ = 0;
-  std::int64_t item_ = 0;
-};
-
-// --- FSM script models (million-session load engine, DESIGN §16) ---------------
+workload::PageRequest page(const char* pattern, std::string name, std::string method,
+                           std::vector<Value> args) {
+  workload::PageRequest req;
+  req.page = std::move(name);
+  req.pattern = pattern;
+  req.component = "PetStoreWeb";
+  req.method = std::move(method);
+  req.args = std::move(args);
+  return req;
+}
 
 /// Rank -> item id in fixed catalog order: rank 0 is item 1001001 (category
 /// 1, first product, first item). Gives the Zipf sampler a stable popularity
@@ -486,76 +387,68 @@ std::int64_t item_for_rank(const Shape& shape, std::size_t rank) {
   return shape.item_id(product, static_cast<int>(within % shape.items_per_product));
 }
 
-workload::PageRequest fsm_page(const char* pattern, std::string name, std::string method,
-                               std::vector<Value> args) {
-  workload::PageRequest req;
-  req.page = std::move(name);
-  req.pattern = pattern;
-  req.component = "PetStoreWeb";
-  req.method = std::move(method);
-  req.args = std::move(args);
-  return req;
+/// Item popularity for the FSM models: Zipf(s) over the whole catalog, or
+/// none (s = 0) for the uniform category/product chain.
+std::optional<workload::ZipfSampler> zipf_for(const Shape& shape, double zipf_s) {
+  if (zipf_s <= 0.0) return std::nullopt;
+  return workload::ZipfSampler{static_cast<std::size_t>(shape.total_items()), zipf_s};
 }
 
-/// Table 2 as an FSM: scratch.w0 carries the current category, scratch.w1
-/// the current product — the same logically ordered chain as BrowserScript,
-/// replayed from 16 bytes of per-session state.
-class FsmBrowserModel final : public workload::FsmScriptModel {
- public:
-  FsmBrowserModel(Shape shape, double zipf_s) : shape_(shape) {
-    if (zipf_s > 0.0) {
-      zipf_.emplace(static_cast<std::size_t>(shape.total_items()), zipf_s);
-    }
-  }
+/// Table 2: 20 requests, Main 5% / Category 15% / Product 30% / Item 45% /
+/// Search 5%, logically ordered (an Item always belongs to the previously
+/// requested Product, a Product to the previous Category). scratch.w0
+/// carries the current category, scratch.w1 the current product. With a
+/// Zipf sampler, Item pages draw by global popularity rank instead of the
+/// chain, concentrating views (and the buyers' writes) on the catalog head.
+struct BrowserStep {
+  Shape shape;
+  std::optional<workload::ZipfSampler> zipf;
 
-  std::optional<workload::PageRequest> next(std::uint32_t step, workload::FsmScratch& scratch,
-                                            workload::SmallRng& rng) const override {
+  template <class Rng>
+  std::optional<workload::PageRequest> operator()(std::uint32_t step,
+                                                  workload::FsmScratch& scratch,
+                                                  Rng& rng) const {
     if (step >= static_cast<std::uint32_t>(PetStoreApp::kBrowserSessionLength)) {
       return std::nullopt;
     }
-    if (step == 0) return fsm_page("Browser", "Main", "main", {});
+    if (step == 0) return page("Browser", "Main", "main", {});
 
     auto category = static_cast<std::int64_t>(scratch.w0);
     auto product = static_cast<std::int64_t>(scratch.w1);
+    auto draw_product = [&] {
+      if (category == 0) category = rng.uniform_int(1, shape.categories);
+      product = shape.product_id(
+          category, static_cast<int>(rng.uniform_int(0, shape.products_per_category - 1)));
+    };
     static constexpr std::array<double, 5> kWeights = {5, 15, 30, 45, 5};
     std::optional<workload::PageRequest> req;
     switch (rng.weighted_index(kWeights)) {
       case 0:
-        req = fsm_page("Browser", "Main", "main", {});
+        req = page("Browser", "Main", "main", {});
         break;
       case 1:
-        category = rng.uniform_int(1, shape_.categories);
+        category = rng.uniform_int(1, shape.categories);
         product = 0;
-        req = fsm_page("Browser", "Category", "category", {Value{category}});
+        req = page("Browser", "Category", "category", {Value{category}});
         break;
       case 2:
-        if (category == 0) category = rng.uniform_int(1, shape_.categories);
-        product = shape_.product_id(
-            category, static_cast<int>(rng.uniform_int(0, shape_.products_per_category - 1)));
-        req = fsm_page("Browser", "Product", "product", {Value{product}});
+        draw_product();
+        req = page("Browser", "Product", "product", {Value{product}});
         break;
       case 3: {
         std::int64_t item = 0;
-        if (zipf_) {
-          // Popularity-skewed mode: items are drawn by global Zipf rank
-          // instead of the uniform category/product chain, concentrating
-          // views (and the buyers' writes) on the head of the catalog.
-          item = item_for_rank(shape_, zipf_->sample(rng));
+        if (zipf) {
+          item = item_for_rank(shape, zipf->sample(rng));
         } else {
-          if (product == 0) {
-            if (category == 0) category = rng.uniform_int(1, shape_.categories);
-            product = shape_.product_id(
-                category,
-                static_cast<int>(rng.uniform_int(0, shape_.products_per_category - 1)));
-          }
-          item = shape_.item_id(
-              product, static_cast<int>(rng.uniform_int(0, shape_.items_per_product - 1)));
+          if (product == 0) draw_product();
+          item = shape.item_id(
+              product, static_cast<int>(rng.uniform_int(0, shape.items_per_product - 1)));
         }
-        req = fsm_page("Browser", "Item", "item", {Value{item}});
+        req = page("Browser", "Item", "item", {Value{item}});
         break;
       }
       default:
-        req = fsm_page(
+        req = page(
             "Browser", "Search", "search",
             {Value{std::string{kKeywords[static_cast<std::size_t>(rng.uniform_int(0, 4))]}}});
         break;
@@ -564,94 +457,57 @@ class FsmBrowserModel final : public workload::FsmScriptModel {
     scratch.w1 = static_cast<std::uint64_t>(product);
     return req;
   }
-
-  const char* pattern() const override { return "Browser"; }
-
- private:
-  Shape shape_;
-  std::optional<workload::ZipfSampler> zipf_;
 };
 
-/// Table 3 as an FSM: the account lands in scratch.w0 and the item in
-/// scratch.w1 at step 0 (BuyerScript draws them at construction).
-class FsmBuyerModel final : public workload::FsmScriptModel {
- public:
-  FsmBuyerModel(Shape shape, double zipf_s) : shape_(shape) {
-    if (zipf_s > 0.0) {
-      zipf_.emplace(static_cast<std::size_t>(shape.total_items()), zipf_s);
-    }
-  }
+/// Table 3: the fixed buyer scenario — sign in, buy one item, sign out. The
+/// account lands in scratch.w0 and the item in scratch.w1 at step 0.
+struct BuyerStep {
+  Shape shape;
+  std::optional<workload::ZipfSampler> zipf;
 
-  std::optional<workload::PageRequest> next(std::uint32_t step, workload::FsmScratch& scratch,
-                                            workload::SmallRng& rng) const override {
+  template <class Rng>
+  std::optional<workload::PageRequest> operator()(std::uint32_t step,
+                                                  workload::FsmScratch& scratch,
+                                                  Rng& rng) const {
     if (step == 0) {
-      scratch.w0 = static_cast<std::uint64_t>(rng.uniform_int(1, shape_.accounts));
+      scratch.w0 = static_cast<std::uint64_t>(rng.uniform_int(1, shape.accounts));
       std::int64_t item = 0;
-      if (zipf_) {
-        item = item_for_rank(shape_, zipf_->sample(rng));
+      if (zipf) {
+        item = item_for_rank(shape, zipf->sample(rng));
       } else {
-        const std::int64_t cat = rng.uniform_int(1, shape_.categories);
-        const std::int64_t prod = shape_.product_id(
-            cat, static_cast<int>(rng.uniform_int(0, shape_.products_per_category - 1)));
-        item = shape_.item_id(
-            prod, static_cast<int>(rng.uniform_int(0, shape_.items_per_product - 1)));
+        const std::int64_t cat = rng.uniform_int(1, shape.categories);
+        const std::int64_t prod = shape.product_id(
+            cat, static_cast<int>(rng.uniform_int(0, shape.products_per_category - 1)));
+        item = shape.item_id(
+            prod, static_cast<int>(rng.uniform_int(0, shape.items_per_product - 1)));
       }
       scratch.w1 = static_cast<std::uint64_t>(item);
     }
     const auto account = static_cast<std::int64_t>(scratch.w0);
     const auto item = static_cast<std::int64_t>(scratch.w1);
     switch (step) {
-      case 0: return fsm_page("Buyer", "Main", "main", {});
-      case 1: return fsm_page("Buyer", "Signin", "signin", {});
-      case 2: return fsm_page("Buyer", "Verify Signin", "verifysignin", {Value{account}});
-      case 3: return fsm_page("Buyer", "Shopping Cart", "cart", {Value{item}});
-      case 4: return fsm_page("Buyer", "Checkout", "checkout", {});
-      case 5: return fsm_page("Buyer", "Place Order", "placeorder", {});
-      case 6: return fsm_page("Buyer", "Billing", "billing", {});
-      case 7:
-        return fsm_page("Buyer", "Commit Order", "commitorder", {Value{account}, Value{item}});
-      case 8: return fsm_page("Buyer", "Signout", "signout", {});
+      case 0: return page("Buyer", "Main", "main", {});
+      case 1: return page("Buyer", "Signin", "signin", {});
+      case 2: return page("Buyer", "Verify Signin", "verifysignin", {Value{account}});
+      case 3: return page("Buyer", "Shopping Cart", "cart", {Value{item}});
+      case 4: return page("Buyer", "Checkout", "checkout", {});
+      case 5: return page("Buyer", "Place Order", "placeorder", {});
+      case 6: return page("Buyer", "Billing", "billing", {});
+      case 7: return page("Buyer", "Commit Order", "commitorder", {Value{account}, Value{item}});
+      case 8: return page("Buyer", "Signout", "signout", {});
       default: return std::nullopt;
     }
   }
-
-  const char* pattern() const override { return "Buyer"; }
-
- private:
-  Shape shape_;
-  std::optional<workload::ZipfSampler> zipf_;
 };
 
 }  // namespace
 
 workload::SessionFactory PetStoreApp::browser_factory(sim::RngStream rng) const {
-  auto master = std::make_shared<sim::RngStream>(std::move(rng));
-  auto counter = std::make_shared<int>(0);
-  Shape shape = shape_;
-  return [master, counter, shape]() -> std::unique_ptr<workload::SessionScript> {
-    return std::make_unique<BrowserScript>(shape,
-                                           master->fork("s" + std::to_string((*counter)++)));
-  };
+  return workload::step_factory("Browser", BrowserStep{shape_, std::nullopt}, std::move(rng));
 }
 
 workload::SessionFactory PetStoreApp::buyer_factory(sim::RngStream rng) const {
-  auto master = std::make_shared<sim::RngStream>(std::move(rng));
-  auto counter = std::make_shared<int>(0);
-  Shape shape = shape_;
-  return [master, counter, shape]() -> std::unique_ptr<workload::SessionScript> {
-    return std::make_unique<BuyerScript>(shape,
-                                         master->fork("s" + std::to_string((*counter)++)));
-  };
-}
-
-std::shared_ptr<const workload::FsmScriptModel> PetStoreApp::fsm_browser_model(
-    double zipf_s) const {
-  return std::make_shared<FsmBrowserModel>(shape_, zipf_s);
-}
-
-std::shared_ptr<const workload::FsmScriptModel> PetStoreApp::fsm_buyer_model(
-    double zipf_s) const {
-  return std::make_shared<FsmBuyerModel>(shape_, zipf_s);
+  return workload::step_factory("Buyer", BuyerStep{shape_, std::nullopt}, std::move(rng));
 }
 
 AppDriver PetStoreApp::driver() const {
@@ -663,8 +519,12 @@ AppDriver PetStoreApp::driver() const {
   d.bind_entities = [this](comp::Runtime& rt) { bind_entities(rt); };
   d.browser_factory = [this](sim::RngStream rng) { return browser_factory(std::move(rng)); };
   d.writer_factory = [this](sim::RngStream rng) { return buyer_factory(std::move(rng)); };
-  d.fsm_browser_model = [this](double zipf_s) { return fsm_browser_model(zipf_s); };
-  d.fsm_writer_model = [this](double zipf_s) { return fsm_buyer_model(zipf_s); };
+  d.fsm_browser_model = [this](double zipf_s) {
+    return workload::step_model("Browser", BrowserStep{shape_, zipf_for(shape_, zipf_s)});
+  };
+  d.fsm_writer_model = [this](double zipf_s) {
+    return workload::step_model("Buyer", BuyerStep{shape_, zipf_for(shape_, zipf_s)});
+  };
   d.table_pages = table_pages();
   d.writer_pattern = "Buyer";
   d.db_colocated = false;  // Oracle on its own workstation, same LAN (§3.1)

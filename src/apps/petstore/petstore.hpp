@@ -74,18 +74,13 @@ class PetStoreApp {
   /// Binds entity-bean names to their tables on a runtime.
   void bind_entities(comp::Runtime& rt) const;
 
-  /// Session factories for the two usage patterns (Tables 2 and 3).
+  /// Coroutine-driver session factories for the two usage patterns
+  /// (Tables 2 and 3). Each pattern is one step function; the driver's FSM
+  /// models replay the same two, where `zipf_s > 0` draws item popularity
+  /// Zipf(s)-skewed over the whole catalog (rank 0 = item 1001001) instead
+  /// of the uniform category/product chain.
   [[nodiscard]] workload::SessionFactory browser_factory(sim::RngStream rng) const;
   [[nodiscard]] workload::SessionFactory buyer_factory(sim::RngStream rng) const;
-
-  /// FSM script models for the million-session load engine (DESIGN §16):
-  /// the same Table 2/3 scripts as pure per-step functions. `zipf_s > 0`
-  /// draws item popularity Zipf(s)-skewed over the whole catalog (rank 0 =
-  /// item 1001001) instead of the uniform category/product chain.
-  [[nodiscard]] std::shared_ptr<const workload::FsmScriptModel> fsm_browser_model(
-      double zipf_s) const;
-  [[nodiscard]] std::shared_ptr<const workload::FsmScriptModel> fsm_buyer_model(
-      double zipf_s) const;
 
   /// (pattern, page) rows in Table 6's column order.
   [[nodiscard]] static std::vector<std::pair<std::string, std::string>> table_pages();

@@ -1,9 +1,13 @@
 #include "apps/rubis/rubis.hpp"
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <memory>
+#include <string>
 
 #include "db/query.hpp"
+#include "workload/session_fsm.hpp"
 
 namespace mutsvc::apps::rubis {
 
@@ -341,7 +345,7 @@ void RubisApp::bind_entities(comp::Runtime& rt) const {
   rt.bind_entity("Region", "regions");
 }
 
-// --- session scripts -------------------------------------------------------------
+// --- usage patterns (Tables 4 and 5), one step function each ---------------------
 
 namespace {
 
@@ -359,140 +363,126 @@ workload::PageRequest make_request(const char* pattern, std::string page, std::s
 
 /// Table 4: 40 requests with the listed weights, logically ordered (Item /
 /// Bids requests follow a Category listing, User Info follows Bids, ...).
-class BrowserScript final : public workload::SessionScript {
- public:
-  BrowserScript(Shape shape, sim::RngStream rng) : shape_(shape), rng_(std::move(rng)) {}
+/// scratch.w0 packs the current region (low) and category (high),
+/// scratch.w1 holds the current item.
+struct BrowserStep {
+  Shape shape;
 
-  std::optional<workload::PageRequest> next() override {
-    if (issued_ >= RubisApp::kBrowserSessionLength) return std::nullopt;
-    ++issued_;
-    if (issued_ == 1) return make_request("Browser", "Main", "main", {});
+  template <class Rng>
+  std::optional<workload::PageRequest> operator()(std::uint32_t step,
+                                                  workload::FsmScratch& scratch,
+                                                  Rng& rng) const {
+    if (step >= static_cast<std::uint32_t>(RubisApp::kBrowserSessionLength)) {
+      return std::nullopt;
+    }
+    if (step == 0) return make_request("Browser", "Main", "main", {});
 
+    std::int64_t region = workload::FsmScratch::low(scratch.w0);
+    std::int64_t category = workload::FsmScratch::high(scratch.w0);
+    auto item = static_cast<std::int64_t>(scratch.w1);
+    auto pick_item = [&] {
+      if (category == 0) category = rng.uniform_int(1, shape.categories);
+      // Items of a category are spaced `categories` apart (item_category).
+      const auto per_cat = static_cast<std::int64_t>(shape.items / shape.categories);
+      const std::int64_t k = rng.uniform_int(0, per_cat - 1);
+      return (category - 1) + k * shape.categories + 1;
+    };
     static constexpr std::array<double, 10> kWeights = {2.5, 2.5, 2.5,  2.5, 2.5,
                                                         7.5, 7.5, 42.5, 15,  15};
-    switch (rng_.weighted_index(kWeights)) {
-      case 0: return make_request("Browser", "Main", "main", {});
-      case 1: return make_request("Browser", "Browse", "browse", {});
-      case 2: return make_request("Browser", "All Categories", "allcategories", {});
-      case 3: return make_request("Browser", "All Regions", "allregions", {});
-      case 4: {
-        region_ = rng_.uniform_int(1, shape_.regions);
-        return make_request("Browser", "Region", "region", {Value{region_}});
-      }
-      case 5: {
-        category_ = rng_.uniform_int(1, shape_.categories);
-        return make_request("Browser", "Category", "category", {Value{category_}});
-      }
-      case 6: {
-        category_ = rng_.uniform_int(1, shape_.categories);
-        if (region_ == 0) region_ = rng_.uniform_int(1, shape_.regions);
-        return make_request("Browser", "Category & Region", "categoryregion",
-                            {Value{category_}, Value{region_}});
-      }
-      case 7: {
-        item_ = pick_item();
-        return make_request("Browser", "Item", "item", {Value{item_}});
-      }
-      case 8: {
-        item_ = pick_item();
-        return make_request("Browser", "Bids", "bids", {Value{item_}});
-      }
+    std::optional<workload::PageRequest> req;
+    switch (rng.weighted_index(kWeights)) {
+      case 0: req = make_request("Browser", "Main", "main", {}); break;
+      case 1: req = make_request("Browser", "Browse", "browse", {}); break;
+      case 2: req = make_request("Browser", "All Categories", "allcategories", {}); break;
+      case 3: req = make_request("Browser", "All Regions", "allregions", {}); break;
+      case 4:
+        region = rng.uniform_int(1, shape.regions);
+        req = make_request("Browser", "Region", "region", {Value{region}});
+        break;
+      case 5:
+        category = rng.uniform_int(1, shape.categories);
+        req = make_request("Browser", "Category", "category", {Value{category}});
+        break;
+      case 6:
+        category = rng.uniform_int(1, shape.categories);
+        if (region == 0) region = rng.uniform_int(1, shape.regions);
+        req = make_request("Browser", "Category & Region", "categoryregion",
+                           {Value{category}, Value{region}});
+        break;
+      case 7:
+        item = pick_item();
+        req = make_request("Browser", "Item", "item", {Value{item}});
+        break;
+      case 8:
+        item = pick_item();
+        req = make_request("Browser", "Bids", "bids", {Value{item}});
+        break;
       default: {
-        std::int64_t user = item_ != 0 ? shape_.item_seller(item_)
-                                       : rng_.uniform_int(1, shape_.users);
-        return make_request("Browser", "User Info", "userinfo", {Value{user}});
+        const std::int64_t user =
+            item != 0 ? shape.item_seller(item) : rng.uniform_int(1, shape.users);
+        req = make_request("Browser", "User Info", "userinfo", {Value{user}});
+        break;
       }
     }
+    scratch.w0 = workload::FsmScratch::pack(region, category);
+    scratch.w1 = static_cast<std::uint64_t>(item);
+    return req;
   }
-
-  const char* pattern() const override { return "Browser"; }
-
- private:
-  [[nodiscard]] std::int64_t pick_item() {
-    if (category_ == 0) category_ = rng_.uniform_int(1, shape_.categories);
-    // Items of a category are spaced `categories` apart (item_category).
-    const auto per_cat = static_cast<std::int64_t>(shape_.items / shape_.categories);
-    const std::int64_t k = rng_.uniform_int(0, per_cat - 1);
-    return (category_ - 1) + k * shape_.categories + 1;
-  }
-
-  Shape shape_;
-  sim::RngStream rng_;
-  int issued_ = 0;
-  std::int64_t region_ = 0;
-  std::int64_t category_ = 0;
-  std::int64_t item_ = 0;
 };
 
 /// Table 5: the fixed bidder scenario — bid on an item, then leave a
-/// comment for its seller.
-class BidderScript final : public workload::SessionScript {
- public:
-  BidderScript(Shape shape, sim::RngStream rng) : shape_(shape), rng_(std::move(rng)) {
-    user_ = rng_.uniform_int(1, shape_.users);
-    // Bidding concentrates on active auctions: 80% of bids go to a hot
-    // tenth of the items (auction traffic is heavily skewed).
-    const std::int64_t hot = std::max<std::int64_t>(1, shape_.items / 10);
-    item_ = rng_.bernoulli(0.8) ? rng_.uniform_int(1, hot)
-                                : rng_.uniform_int(1, shape_.items);
-    seller_ = shape_.item_seller(item_);
-    amount_ = rng_.uniform(20.0, 200.0);
-  }
+/// comment for its seller. scratch.w0 packs the user (low) and item (high),
+/// scratch.w1 holds the bid amount's bits; the seller follows from the item.
+struct BidderStep {
+  Shape shape;
 
-  std::optional<workload::PageRequest> next() override {
-    const std::string nick = "user" + std::to_string(user_);
-    switch (step_++) {
+  template <class Rng>
+  std::optional<workload::PageRequest> operator()(std::uint32_t step,
+                                                  workload::FsmScratch& scratch,
+                                                  Rng& rng) const {
+    if (step == 0) {
+      const std::int64_t user = rng.uniform_int(1, shape.users);
+      // Bidding concentrates on active auctions: 80% of bids go to a hot
+      // tenth of the items (auction traffic is heavily skewed).
+      const std::int64_t hot = std::max<std::int64_t>(1, shape.items / 10);
+      const std::int64_t item =
+          rng.bernoulli(0.8) ? rng.uniform_int(1, hot) : rng.uniform_int(1, shape.items);
+      scratch.w0 = workload::FsmScratch::pack(user, item);
+      scratch.w1 = std::bit_cast<std::uint64_t>(rng.uniform(20.0, 200.0));
+    }
+    const std::int64_t user = workload::FsmScratch::low(scratch.w0);
+    const std::int64_t item = workload::FsmScratch::high(scratch.w0);
+    const std::int64_t seller = shape.item_seller(item);
+    const std::string nick = "user" + std::to_string(user);
+    switch (step) {
       case 0: return make_request("Bidder", "Main", "main", {});
       case 1: return make_request("Bidder", "Put Bid Auth", "putbidauth", {});
       case 2:
-        return make_request("Bidder", "Put Bid Form", "putbidform",
-                            {Value{nick}, Value{item_}});
+        return make_request("Bidder", "Put Bid Form", "putbidform", {Value{nick}, Value{item}});
       case 3:
         return make_request("Bidder", "Store Bid", "storebid",
-                            {Value{user_}, Value{item_}, Value{amount_}});
+                            {Value{user}, Value{item},
+                             Value{std::bit_cast<double>(scratch.w1)}});
       case 4: return make_request("Bidder", "Put Comment Auth", "putcommentauth", {});
       case 5:
         return make_request("Bidder", "Put Comment Form", "putcommentform",
-                            {Value{nick}, Value{seller_}});
+                            {Value{nick}, Value{seller}});
       case 6:
         return make_request("Bidder", "Store Comment", "storecomment",
-                            {Value{user_}, Value{seller_}, Value{item_}});
+                            {Value{user}, Value{seller}, Value{item}});
       default: return std::nullopt;
     }
   }
-
-  const char* pattern() const override { return "Bidder"; }
-
- private:
-  Shape shape_;
-  sim::RngStream rng_;
-  int step_ = 0;
-  std::int64_t user_ = 0;
-  std::int64_t item_ = 0;
-  std::int64_t seller_ = 0;
-  double amount_ = 0.0;
 };
 
 }  // namespace
 
 workload::SessionFactory RubisApp::browser_factory(sim::RngStream rng) const {
-  auto master = std::make_shared<sim::RngStream>(std::move(rng));
-  auto counter = std::make_shared<int>(0);
-  Shape shape = shape_;
-  return [master, counter, shape]() -> std::unique_ptr<workload::SessionScript> {
-    return std::make_unique<BrowserScript>(shape,
-                                           master->fork("s" + std::to_string((*counter)++)));
-  };
+  return workload::step_factory("Browser", BrowserStep{shape_}, std::move(rng));
 }
 
 workload::SessionFactory RubisApp::bidder_factory(sim::RngStream rng) const {
-  auto master = std::make_shared<sim::RngStream>(std::move(rng));
-  auto counter = std::make_shared<int>(0);
-  Shape shape = shape_;
-  return [master, counter, shape]() -> std::unique_ptr<workload::SessionScript> {
-    return std::make_unique<BidderScript>(shape,
-                                          master->fork("s" + std::to_string((*counter)++)));
-  };
+  return workload::step_factory("Bidder", BidderStep{shape_}, std::move(rng));
 }
 
 AppDriver RubisApp::driver() const {
@@ -504,6 +494,13 @@ AppDriver RubisApp::driver() const {
   d.bind_entities = [this](comp::Runtime& rt) { bind_entities(rt); };
   d.browser_factory = [this](sim::RngStream rng) { return browser_factory(std::move(rng)); };
   d.writer_factory = [this](sim::RngStream rng) { return bidder_factory(std::move(rng)); };
+  // RUBiS has no item-popularity model; the Zipf exponent is ignored.
+  d.fsm_browser_model = [this](double) {
+    return workload::step_model("Browser", BrowserStep{shape_});
+  };
+  d.fsm_writer_model = [this](double) {
+    return workload::step_model("Bidder", BidderStep{shape_});
+  };
   d.table_pages = table_pages();
   d.writer_pattern = "Bidder";
   d.db_colocated = true;  // MySQL on the main app-server workstation (§3.1)

@@ -1,9 +1,9 @@
 #include "core/experiment.hpp"
 
-#include <algorithm>
-#include <cmath>
+#include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace mutsvc::core {
 
@@ -294,11 +294,7 @@ void Experiment::start_coroutine_load(sim::SimTime end) {
     s.browser_fraction = spec_.browser_fraction;
     s.browser_factory = driver_.browser_factory(root.fork(tag + "-browser"));
     s.writer_factory = driver_.writer_factory(root.fork(tag + "-writer"));
-    if (spec_.open_loop_arrivals) {
-      loadgen_->start_open_group(s, end, root.fork(tag + "-clients"));
-    } else {
-      loadgen_->start_group(s, end, root.fork(tag + "-clients"));
-    }
+    loadgen_->start_group(s, end, root.fork(tag + "-clients"));
   };
 
   // Each client group is spawned under its own island's domain, so the
@@ -319,11 +315,6 @@ void Experiment::start_fsm_load(sim::SimTime end) {
   if (!driver_.fsm_browser_model || !driver_.fsm_writer_model) {
     throw std::invalid_argument("Experiment: fsm_load.enabled but the '" + driver_.name +
                                 "' driver provides no FSM script models");
-  }
-  if (spec_.open_loop_arrivals) {
-    throw std::invalid_argument(
-        "Experiment: fsm_load is mutually exclusive with open_loop_arrivals — express the "
-        "arrival process as fsm_load.arrivals (a RateEnvelope) instead");
   }
   const std::shared_ptr<const workload::FsmScriptModel> browser =
       driver_.fsm_browser_model(spec_.fsm_load.zipf_s);
@@ -369,18 +360,8 @@ void Experiment::start_fsm_load(sim::SimTime end) {
     } else {
       // Closed-loop population, sized like the coroutine driver (and split
       // with the same total-conserving rule).
-      std::size_t total = spec_.fsm_load.sessions_per_group;
-      workload::LoadGenerator::ClientSplit split;
-      if (total == 0) {
-        split = workload::LoadGenerator::split_clients(per_group, spec_.browser_fraction,
-                                                       spec_.loadgen.think_time);
-      } else {
-        auto browsers = static_cast<std::size_t>(
-            std::llround(static_cast<double>(total) * spec_.browser_fraction));
-        browsers = std::min(browsers, total);
-        split.browsers = static_cast<int>(browsers);
-        split.writers = static_cast<int>(total - browsers);
-      }
+      const workload::LoadGenerator::ClientSplit split = workload::LoadGenerator::split_clients(
+          per_group, spec_.browser_fraction, spec_.loadgen.think_time);
       engine->start_population(b, static_cast<std::size_t>(split.browsers), end, bseed);
       engine->start_population(w, static_cast<std::size_t>(split.writers), end, wseed);
     }

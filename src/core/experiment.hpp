@@ -47,17 +47,17 @@ struct ShardConfig {
 /// Million-session FSM load engine configuration (DESIGN §16). Opt-in: the
 /// paper ladder keeps the per-session coroutine driver; enabling this
 /// replaces it with 40-byte session records in a flat arena, so one trial
-/// can hold millions of concurrent sessions.
+/// can hold millions of concurrent sessions. It is also the one open-loop
+/// arrival layer (the flash-crowd regime, DESIGN §13).
 struct FsmLoadSpec {
   bool enabled = false;
-  /// Closed-loop population per client group. 0 derives the paper sizing
-  /// round(rate_per_group * think_time), like the coroutine driver.
-  std::size_t sessions_per_group = 0;
-  /// When non-empty, sessions *arrive* instead: the envelope is the
-  /// combined session-arrival rate (nonhomogeneous Poisson), split evenly
-  /// across client groups and browser/writer by browser_fraction; each
-  /// arriving session runs one script and leaves. Diurnal curves and
-  /// flash-crowd steps come from the RateEnvelope factories.
+  /// Empty: a closed-loop population per client group, sized like the
+  /// coroutine driver (LoadGenerator::split_clients). Non-empty: sessions
+  /// *arrive* instead; the envelope is the combined session-arrival rate
+  /// (nonhomogeneous Poisson), split evenly across client groups and
+  /// browser/writer by browser_fraction, and each arriving session runs one
+  /// script and leaves. Diurnal curves and flash-crowd steps come from the
+  /// RateEnvelope factories.
   workload::RateEnvelope arrivals;
   /// Per-client-group arrival envelopes, overriding the even split of
   /// `arrivals`: index 0 is the local group, 1 and 2 the remote groups (in
@@ -91,9 +91,10 @@ struct ExperimentSpec {
   std::function<comp::DeploymentPlan(const TestbedNodes&)> custom_plan;
 
   /// Entry-point failover (the availability motivation of §1): when a
-  /// client cannot reach its assigned server, it retries at the main
-  /// server after this connection timeout. Zero disables failover —
-  /// unreachable requests are then dropped after the timeout.
+  /// client cannot reach its assigned server, it notices after this
+  /// connection timeout and retries at the main server. Only
+  /// `failover_enabled = false` turns failover off (unreachable requests
+  /// are then dropped after the timeout); a zero timeout fails over at once.
   sim::Duration failover_timeout = sim::sec(2);
   bool failover_enabled = true;
 
@@ -109,14 +110,7 @@ struct ExperimentSpec {
   /// WAN rate limits, backpressure. Off by default — a disabled config is
   /// bit-identical to the pre-flow-control harness (golden-enforced).
   net::FlowControlConfig flow;
-  /// Flash-crowd arrival process: open-loop Poisson arrivals at the spec
-  /// rate instead of the paper's closed-loop client fleet. The offered
-  /// load then stays up when the service saturates — the regime overload
-  /// protection exists for. Default keeps §3.3's closed loop.
-  bool open_loop_arrivals = false;
-
-  /// Million-session FSM load engine (DESIGN §16); mutually exclusive with
-  /// open_loop_arrivals (the FSM engine has its own arrival layer).
+  /// Million-session FSM load engine and its session arrivals (DESIGN §16).
   FsmLoadSpec fsm_load;
 
   /// Runtime placement: versioned component bindings, live migration, and

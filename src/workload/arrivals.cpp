@@ -204,8 +204,7 @@ ZipfSampler::ZipfSampler(std::size_t n, double s) : s_(s) {
   for (double& c : cdf_) c /= acc;
 }
 
-std::size_t ZipfSampler::sample(SmallRng& rng) const {
-  const double u = rng.uniform01();
+std::size_t ZipfSampler::rank_of(double u) const {
   const auto it = std::upper_bound(cdf_.begin(), cdf_.end(), u);
   return it == cdf_.end() ? cdf_.size() - 1 : static_cast<std::size_t>(it - cdf_.begin());
 }

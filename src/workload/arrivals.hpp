@@ -119,8 +119,9 @@ class RateEnvelope {
   /// Aperiodic step sequence. Steps must start at offset zero, be strictly
   /// increasing, and carry non-negative rates; the last rate holds forever.
   [[nodiscard]] static RateEnvelope steps(std::vector<RateStep> steps);
-  /// Flash-crowd shape (bench_flash_crowd): `base` rate, spiking to
-  /// `base * spike_multiplier` during [spike_at, spike_at + spike_len).
+  /// Flash-crowd shape (bench_scaling_sessions' flash10x cell,
+  /// session_fsm_test): `base` rate, spiking to `base * spike_multiplier`
+  /// during [spike_at, spike_at + spike_len).
   [[nodiscard]] static RateEnvelope flash_crowd(double base, double spike_multiplier,
                                                 sim::Duration spike_at,
                                                 sim::Duration spike_len);
@@ -196,13 +197,19 @@ class ZipfSampler {
   [[nodiscard]] std::size_t size() const { return cdf_.size(); }
   [[nodiscard]] double exponent() const { return s_; }
 
-  /// Rank in [0, n), inverse-CDF over one uniform01() draw.
-  [[nodiscard]] std::size_t sample(SmallRng& rng) const;
+  /// Rank in [0, n), inverse-CDF over one uniform01() draw of any rng type
+  /// (the step functions of DESIGN §16 are generic over it).
+  template <class Rng>
+  [[nodiscard]] std::size_t sample(Rng& rng) const {
+    return rank_of(rng.uniform01());
+  }
 
   /// Closed-form P(rank k) — what sampled frequencies must converge to.
   [[nodiscard]] double expected_freq(std::size_t rank) const;
 
  private:
+  [[nodiscard]] std::size_t rank_of(double u) const;
+
   std::vector<double> cdf_;  // cumulative, normalized to end at 1.0
   double s_ = 0.0;
 };

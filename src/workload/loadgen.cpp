@@ -10,7 +10,7 @@ namespace mutsvc::workload {
 LoadGenerator::ClientSplit LoadGenerator::split_clients(double requests_per_second,
                                                         double browser_fraction,
                                                         sim::Duration think_time) {
-  // Open-loop sizing: each client issues ~1/think_time requests per second,
+  // Closed-loop sizing: each client issues ~1/think_time requests per second,
   // so the group needs round(rate*think_time) concurrent clients in total.
   // Round the total first, then carve the browser share out of it — see
   // the ClientSplit doc for why the shares are not rounded independently.
@@ -45,11 +45,6 @@ void LoadGenerator::start_group(const ClientGroupSpec& spec, sim::SimTime end_at
     sim_.spawn(run_client(spec, /*is_browser=*/false, end_at,
                           rng.fork("writer-" + std::to_string(i))));
   }
-}
-
-void LoadGenerator::start_open_group(const ClientGroupSpec& spec, sim::SimTime end_at,
-                                     sim::RngStream rng) {
-  sim_.spawn(run_open_arrivals(spec, end_at, std::move(rng)));
 }
 
 void LoadGenerator::record_outcome(const ClientGroupSpec& spec, const PageRequest& req,
@@ -95,57 +90,6 @@ sim::Task<void> LoadGenerator::run_client(ClientGroupSpec spec, bool is_browser,
       if (remaining > sim::Duration::zero()) co_await sim_.wait(remaining);
     }
     co_await sim_.wait(cfg_.between_sessions);
-  }
-}
-
-sim::Task<void> LoadGenerator::issue_one(ClientGroupSpec spec, PageRequest req) {
-  const sim::SimTime start = sim_.now();
-  ++requests_;  // counted at issue time
-  const RequestOutcome out = co_await executor_.execute(spec.client_node, req);
-  record_outcome(spec, req, out, sim_.now() - start);
-}
-
-sim::Task<void> LoadGenerator::run_open_arrivals(ClientGroupSpec spec, sim::SimTime end_at,
-                                                 sim::RngStream rng) {
-  if (spec.requests_per_second <= 0.0) co_return;
-  const sim::Duration mean_gap = sim::Duration::seconds(1.0 / spec.requests_per_second);
-  // One rotating session per kind: each arrival draws its kind, then takes
-  // that kind's next page, starting a fresh session when the script ends.
-  std::unique_ptr<SessionScript> browser;
-  std::unique_ptr<SessionScript> writer;
-  std::uint64_t browser_key = 0;
-  std::uint64_t writer_key = 0;
-  bool browser_sterile = false;
-  bool writer_sterile = false;
-  while (true) {
-    co_await sim_.wait(rng.exponential(mean_gap));
-    if (sim_.now() >= end_at) co_return;
-    const bool is_browser = rng.bernoulli(spec.browser_fraction);
-    if (is_browser ? browser_sterile : writer_sterile) continue;
-    std::unique_ptr<SessionScript>& script = is_browser ? browser : writer;
-    std::optional<PageRequest> req = script ? script->next() : std::nullopt;
-    if (!req) {
-      std::unique_ptr<SessionScript> fresh =
-          is_browser ? spec.browser_factory() : spec.writer_factory();
-      req = fresh->next();
-      if (!req) {
-        // The factory yields empty scripts: mark the kind sterile once,
-        // instead of re-creating (and counting) a session on every later
-        // arrival of this kind. A session only counts once its script
-        // proves non-empty.
-        (is_browser ? browser_sterile : writer_sterile) = true;
-        if (browser_sterile && writer_sterile) co_return;
-        continue;
-      }
-      (is_browser ? browser_key : writer_key) =
-          SmallRng::mix(++sessions_);
-      script = std::move(fresh);
-    }
-    req->session_key = is_browser ? browser_key : writer_key;
-    // Open loop: fire and move on — do not await the response. A request
-    // in flight at end_at is already counted (issue-time counting) and its
-    // outcome is recorded whenever the simulation runs the completion.
-    sim_.spawn(issue_one(spec, std::move(*req)));
   }
 }
 

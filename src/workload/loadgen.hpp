@@ -49,17 +49,18 @@ struct LoadGenConfig {
   sim::Duration between_sessions = sim::sec(2);
 };
 
-/// Open-loop client driver implementing §3.3.
+/// Closed-loop client driver implementing §3.3.
 ///
 /// Each group runs `round(rate * think_time)` concurrent clients; a client
 /// repeatedly executes sessions, waiting `DELAY - response_time` (clamped
 /// at zero) after each request — the paper's soft delay, which keeps the
-/// offered load steady regardless of response times.
+/// offered load steady regardless of response times. Open-loop session
+/// arrivals are the FSM engine's (SessionFsmEngine::start_arrivals).
 ///
 /// End-of-run rule (shared with SessionFsmEngine): requests are counted
 /// when they are *issued*; no request is issued at or after `end_at`, and
 /// a response landing after `end_at` is recorded whenever the simulation
-/// runs it — in both the closed-loop and open-loop drivers. At any instant
+/// runs it. At any instant
 /// `requests_issued() == requests_completed() + requests_in_flight()`.
 class LoadGenerator {
  public:
@@ -88,15 +89,6 @@ class LoadGenerator {
   /// Spawns all client tasks for `spec`. Clients run until `end_at`.
   void start_group(const ClientGroupSpec& spec, sim::SimTime end_at, sim::RngStream rng);
 
-  /// Open-loop variant (the flash-crowd generator): Poisson arrivals at
-  /// `spec.requests_per_second`, each arrival issuing the next page of a
-  /// rotating per-kind session — WITHOUT waiting for the previous response.
-  /// A closed loop self-throttles when the service saturates, hiding the
-  /// overload; an open loop keeps offering load, which is exactly what a
-  /// flash crowd does. Offered rate is independent of response times by
-  /// construction.
-  void start_open_group(const ClientGroupSpec& spec, sim::SimTime end_at, sim::RngStream rng);
-
   /// Page requests handed to the executor, counted at issue time.
   [[nodiscard]] std::uint64_t requests_issued() const { return requests_; }
   /// Requests whose outcome has been recorded.
@@ -106,16 +98,12 @@ class LoadGenerator {
   [[nodiscard]] std::uint64_t requests_in_flight() const {
     return requests_issued() - requests_completed();
   }
-  /// Sessions that issued at least one request (a factory yielding an empty
-  /// script is never counted).
+  /// Sessions the clients began, one per script taken from a factory.
   [[nodiscard]] std::uint64_t sessions_started() const { return sessions_; }
 
  private:
   [[nodiscard]] sim::Task<void> run_client(ClientGroupSpec spec, bool is_browser,
                                            sim::SimTime end_at, sim::RngStream rng);
-  [[nodiscard]] sim::Task<void> run_open_arrivals(ClientGroupSpec spec, sim::SimTime end_at,
-                                                  sim::RngStream rng);
-  [[nodiscard]] sim::Task<void> issue_one(ClientGroupSpec spec, PageRequest req);
   void record_outcome(const ClientGroupSpec& spec, const PageRequest& req,
                       RequestOutcome outcome, sim::Duration response_time);
 

@@ -29,9 +29,11 @@ struct PageRequest {
 };
 
 /// A *service usage pattern* (§3.2): a frequently executed scenario of
-/// service invocation. Concrete scripts produce a logically ordered page
-/// sequence (e.g. an Item request always follows the Product it belongs
-/// to); returning nullopt ends the session.
+/// service invocation, as one session of the coroutine driver. Scripts
+/// produce a logically ordered page sequence (e.g. an Item request always
+/// follows the Product it belongs to); returning nullopt ends the session.
+/// Apps write each pattern once as a step function and derive their
+/// scripts with workload::step_factory (session_fsm.hpp).
 class SessionScript {
  public:
   virtual ~SessionScript() = default;

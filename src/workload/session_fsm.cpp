@@ -177,7 +177,7 @@ void SessionFsmEngine::finish_script(std::uint32_t id) {
     // One-shot sessions leave at script end; a script empty from step 0
     // (rec.step == 0) is sterile — retiring it keeps a zero-length
     // between_sessions from looping forever and keeps it out of
-    // sessions_started, like the open-loop LoadGenerator.
+    // sessions_started.
     release_session(id);
     return;
   }

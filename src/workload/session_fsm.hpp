@@ -4,9 +4,12 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "net/types.hpp"
+#include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "sim/task.hpp"
 #include "stats/collector.hpp"
@@ -22,6 +25,18 @@ namespace mutsvc::workload {
 struct FsmScratch {
   std::uint64_t w0 = 0;
   std::uint64_t w1 = 0;
+
+  /// Two ids in [0, 2^32) packed into one word, for patterns that carry
+  /// more than two values (the RUBiS browser's region, category and item).
+  [[nodiscard]] static constexpr std::uint64_t pack(std::int64_t low, std::int64_t high) {
+    return static_cast<std::uint64_t>(low) | (static_cast<std::uint64_t>(high) << 32);
+  }
+  [[nodiscard]] static constexpr std::int64_t low(std::uint64_t w) {
+    return static_cast<std::int64_t>(w & 0xffffffffULL);
+  }
+  [[nodiscard]] static constexpr std::int64_t high(std::uint64_t w) {
+    return static_cast<std::int64_t>(w >> 32);
+  }
 };
 
 /// A session script as an explicit FSM (DESIGN §16): one immutable, shared
@@ -39,6 +54,66 @@ class FsmScriptModel {
                                                         SmallRng& rng) const = 0;
   [[nodiscard]] virtual const char* pattern() const = 0;
 };
+
+// --- one usage pattern, both drivers (DESIGN §16) ----------------------------
+//
+// A usage pattern is written once, as a step function
+//   fn(std::uint32_t step, FsmScratch& scratch, Rng& rng) -> std::optional<PageRequest>
+// that keeps every per-session value in `scratch` and is generic over the
+// rng type. step_model replays it on the FSM engine's SmallRng; step_factory
+// replays it on the coroutine LoadGenerator's mt19937 streams, whose draws
+// the paper-ladder goldens were recorded with.
+
+/// The step function as a shared FSM script model.
+template <class StepFn>
+[[nodiscard]] std::shared_ptr<const FsmScriptModel> step_model(const char* pattern, StepFn fn) {
+  class Model final : public FsmScriptModel {
+   public:
+    Model(const char* pattern, StepFn fn) : pattern_(pattern), fn_(std::move(fn)) {}
+    [[nodiscard]] std::optional<PageRequest> next(std::uint32_t step, FsmScratch& scratch,
+                                                  SmallRng& rng) const override {
+      return fn_(step, scratch, rng);
+    }
+    [[nodiscard]] const char* pattern() const override { return pattern_; }
+
+   private:
+    const char* pattern_;
+    StepFn fn_;
+  };
+  return std::make_shared<const Model>(pattern, std::move(fn));
+}
+
+/// The step function as a session factory: the n-th session it creates
+/// (counting from 0, shared by every copy of the factory) owns its cursor,
+/// scratch and the stream `rng.fork("s<n>")`.
+template <class StepFn>
+[[nodiscard]] SessionFactory step_factory(const char* pattern, StepFn fn, sim::RngStream rng) {
+  class Script final : public SessionScript {
+   public:
+    Script(const char* pattern, std::shared_ptr<const StepFn> fn, sim::RngStream rng)
+        : pattern_(pattern), fn_(std::move(fn)), rng_(std::move(rng)) {}
+    [[nodiscard]] std::optional<PageRequest> next() override {
+      std::optional<PageRequest> req = (*fn_)(step_, scratch_, rng_);
+      if (req) ++step_;
+      return req;
+    }
+    [[nodiscard]] const char* pattern() const override { return pattern_; }
+
+   private:
+    const char* pattern_;
+    std::shared_ptr<const StepFn> fn_;
+    sim::RngStream rng_;
+    std::uint32_t step_ = 0;
+    FsmScratch scratch_;
+  };
+  auto master = std::make_shared<sim::RngStream>(std::move(rng));
+  auto counter = std::make_shared<int>(0);
+  auto shared_fn = std::make_shared<const StepFn>(std::move(fn));
+  return [pattern, master, counter, shared_fn]() -> std::unique_ptr<SessionScript> {
+    return std::make_unique<Script>(pattern, shared_fn,
+                                    master->fork("s" + std::to_string((*counter)++)));
+  };
+}
 
 /// Million-session load engine (DESIGN §16).
 ///
@@ -112,8 +187,7 @@ class SessionFsmEngine {
   // --- accounting ---------------------------------------------------------
   // issued == completed + in_flight at any instant; a session is counted in
   // sessions_started once its first request is issued (a script that is
-  // empty from step 0 is never counted — the rule the open-loop
-  // LoadGenerator fix shares).
+  // empty from step 0 is never counted).
   [[nodiscard]] std::uint64_t requests_issued() const { return requests_; }
   [[nodiscard]] std::uint64_t requests_completed() const { return completed_; }
   [[nodiscard]] std::uint64_t requests_in_flight() const {

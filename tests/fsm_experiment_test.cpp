@@ -107,16 +107,10 @@ TEST(FsmExperimentTest, SweepWorkersLeaveResultsBitIdentical) {
 
 TEST(FsmExperimentTest, DriverWithoutModelsIsRefused) {
   apps::rubis::RubisApp app;
-  ExperimentSpec spec = fsm_spec();
-  core::Experiment exp{app.driver(), spec, core::rubis_calibration()};
-  EXPECT_THROW(exp.run(), std::invalid_argument);
-}
-
-TEST(FsmExperimentTest, FsmLoadExcludesOpenLoopArrivals) {
-  apps::petstore::PetStoreApp app;
-  ExperimentSpec spec = fsm_spec();
-  spec.open_loop_arrivals = true;
-  core::Experiment exp{app.driver(), spec, core::petstore_calibration()};
+  apps::AppDriver driver = app.driver();
+  driver.fsm_browser_model = nullptr;
+  driver.fsm_writer_model = nullptr;
+  core::Experiment exp{driver, fsm_spec(), core::rubis_calibration()};
   EXPECT_THROW(exp.run(), std::invalid_argument);
 }
 

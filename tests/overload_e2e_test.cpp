@@ -20,6 +20,7 @@
 #include "core/experiment.hpp"
 #include "net/flowcontrol.hpp"
 #include "sim/simulator.hpp"
+#include "workload/arrivals.hpp"
 
 namespace mutsvc {
 namespace {
@@ -28,6 +29,17 @@ using core::ConfigLevel;
 using core::Experiment;
 using core::ExperimentSpec;
 using net::OverflowPolicy;
+
+// Open-loop load is Poisson session arrivals (the FSM engine's arrival
+// layer) at a page-rate equivalent: page rate / mean pages per session.
+// Pet Store's 80/20 mix averages 0.8*20 + 0.2*9 pages, RUBiS's 0.8*40 + 0.2*7.
+constexpr double kPetStorePagesPerSession = 0.8 * 20 + 0.2 * 9;
+constexpr double kRubisPagesPerSession = 0.8 * 40 + 0.2 * 7;
+
+void open_loop(ExperimentSpec& spec, double pages_per_sec, double pages_per_session) {
+  spec.fsm_load.enabled = true;
+  spec.fsm_load.arrivals = workload::RateEnvelope::constant(pages_per_sec / pages_per_session);
+}
 
 // Bounced queue overflows must ride the existing transient-failure paths.
 static_assert(std::is_base_of_v<net::NetError, net::OverloadError>,
@@ -58,8 +70,7 @@ TEST(AdmissionTest, TokenBucketRejectsExcessLoadExactly) {
   spec.level = ConfigLevel::kRemoteFacade;
   spec.duration = sim::sec(120);
   spec.warmup = sim::sec(20);
-  spec.total_request_rate = 30.0;  // 10/s per entry node
-  spec.open_loop_arrivals = true;
+  open_loop(spec, 30.0, kPetStorePagesPerSession);  // 10/s per entry node
   spec.flow.enabled = true;
   spec.flow.admission_rate = 4.0;  // well under the offered 10/s per entry
   spec.flow.admission_burst = 5.0;
@@ -143,8 +154,7 @@ TEST(ZeroDiffTest, FlowEnabledRunIsDeterministic) {
   spec.duration = sim::sec(100);
   spec.warmup = sim::sec(20);
   spec.seed = 99;
-  spec.open_loop_arrivals = true;
-  spec.total_request_rate = 45.0;
+  open_loop(spec, 45.0, kPetStorePagesPerSession);
   spec.flow.enabled = true;
   spec.flow.admission_rate = 8.0;
   spec.flow.topic_queue.capacity = 8;
@@ -183,11 +193,12 @@ TEST_P(OverloadLadder, ConservationHoldsUnderPressureAndFaults) {
   apps::rubis::RubisApp app;  // heavier write mix stresses the update path
   ExperimentSpec spec;
   spec.level = c.level;
-  spec.duration = sim::sec(120);
+  // A 40-page browser session lasts 280s, so the session-level ramp needs
+  // most of the run to lift the page rate past admission's 12/s per entry.
+  spec.duration = sim::sec(400);
   spec.warmup = sim::sec(20);
   spec.seed = 4242;
-  spec.open_loop_arrivals = true;
-  spec.total_request_rate = 60.0;  // ~2x the calibrated capacity
+  open_loop(spec, 60.0, kRubisPagesPerSession);  // ~2x the calibrated capacity
   spec.flow.enabled = true;
   spec.flow.admission_rate = 12.0;
   spec.flow.topic_queue.capacity = 4;
@@ -241,11 +252,10 @@ TEST(BouncePolicyTest, BouncedPublishesConsumeWholePageRetries) {
   spec.duration = sim::sec(120);
   spec.warmup = sim::sec(20);
   spec.seed = 77;
-  spec.open_loop_arrivals = true;
   // Heavy enough that the capacity-1 queue is full across a whole page's
   // retry schedule (RMI-level retries cushion each attempt, so a marginal
   // overload lets every page through eventually).
-  spec.total_request_rate = 240.0;
+  open_loop(spec, 240.0, kRubisPagesPerSession);
   spec.resilience.enabled = true;  // grants http_retries whole-page retries
   spec.resilience.http_retries = 2;
   spec.flow.enabled = true;
@@ -302,8 +312,7 @@ TEST(BackpressureTest, CreditGatesEngageUnderUpdatePressure) {
   spec.duration = sim::sec(120);
   spec.warmup = sim::sec(20);
   spec.seed = 11;
-  spec.open_loop_arrivals = true;
-  spec.total_request_rate = 60.0;
+  open_loop(spec, 60.0, kRubisPagesPerSession);
   spec.flow.enabled = true;
   spec.flow.backpressure = true;
   spec.flow.topic_queue.capacity = 2;

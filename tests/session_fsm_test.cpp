@@ -2,7 +2,8 @@
 // a flat arena, driven by a calendar of due-time buckets. Pins the timing
 // semantics against the coroutine LoadGenerator (same model, same streams,
 // same collector digest), the end-of-run window rule, the empty-script
-// rule, determinism under repeat runs, and the memory-per-session budget.
+// rule, determinism under repeat runs, the memory-per-session budget, and
+// step_factory's per-session stream contract.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -11,7 +12,10 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "workload/arrivals.hpp"
 #include "workload/loadgen.hpp"
@@ -155,18 +159,24 @@ TEST(SessionFsmTest, EndOfRunRuleMatchesTheLoadGenerator) {
 }
 
 TEST(SessionFsmTest, EmptyModelsAreNeverCountedAsSessions) {
-  // The FSM engine shares the open-loop LoadGenerator's rule: a script
-  // empty from step 0 never counts, and sterile sessions leave the arena.
+  // A script empty from step 0 never counts and its sterile sessions leave
+  // the arena, while a productive kind beside it keeps running.
   FsmWorld w;
   FakeExecutor exec{w.sim, ms(1)};
   SessionFsmEngine engine{w.sim, exec, w.collector};
-  const std::uint8_t k = engine.add_kind(std::make_shared<EmptyModel>(), net::NodeId{0},
-                                         stats::ClientGroup::kLocal);
-  engine.start_population(k, 10, sim::SimTime::origin() + sec(60), 5);
-  engine.start_arrivals(k, RateEnvelope::constant(5.0), sim::SimTime::origin() + sec(60), 6);
+  const std::uint8_t empty = engine.add_kind(std::make_shared<EmptyModel>(), net::NodeId{0},
+                                             stats::ClientGroup::kLocal);
+  const std::uint8_t fixed = engine.add_kind(std::make_shared<FixedModel>("Writer"),
+                                             net::NodeId{0}, stats::ClientGroup::kLocal);
+  const sim::SimTime end = sim::SimTime::origin() + sec(60);
+  engine.start_population(empty, 10, end, 5);
+  engine.start_arrivals(empty, RateEnvelope::constant(5.0), end, 6);
+  engine.start_arrivals(fixed, RateEnvelope::constant(1.0), end, 7);
   w.sim.run_until();
-  EXPECT_EQ(engine.sessions_started(), 0u);
-  EXPECT_EQ(engine.requests_issued(), 0u);
+  EXPECT_GT(engine.sessions_started(), 0u);
+  // Only productive sessions count: each issued its first page exactly once.
+  EXPECT_EQ(engine.sessions_started(), static_cast<std::uint64_t>(exec.pages_["P0"]));
+  EXPECT_EQ(engine.requests_issued(), exec.requests_);
   EXPECT_EQ(engine.live_sessions(), 0u);
   EXPECT_TRUE(w.sim.idle());
 }
@@ -368,6 +378,54 @@ TEST(SessionFsmTest, HundredThousandSessionsStayUnderTheByteBudget) {
   w.sim.run_until();
   EXPECT_GT(engine.requests_issued(), kSessions / 10);
   EXPECT_EQ(engine.live_sessions(), 0u);
+}
+
+// --- One pattern, both drivers ------------------------------------------------
+
+/// A step function generic over the rng type, like the app patterns: it
+/// draws its length at step 0 and walks a counter kept in scratch.
+struct WalkStep {
+  template <class Rng>
+  std::optional<PageRequest> operator()(std::uint32_t step, FsmScratch& scratch,
+                                        Rng& rng) const {
+    if (step == 0) scratch.w0 = static_cast<std::uint64_t>(rng.uniform_int(2, 6));
+    if (step >= scratch.w0) return std::nullopt;
+    scratch.w1 += static_cast<std::uint64_t>(rng.uniform_int(0, 9));
+    PageRequest req;
+    req.page = "W" + std::to_string(scratch.w1);
+    req.pattern = "Walk";
+    req.component = "Web";
+    req.method = "page";
+    return req;
+  }
+};
+
+TEST(StepFactoryTest, SessionNReplaysTheStepOnForkSN) {
+  // The coroutine driver's per-session stream contract, which the ladder
+  // goldens and the GridViz trajectory rest on: session n draws from
+  // rng.fork("s<n>"), n counted across every copy of the factory.
+  constexpr std::uint64_t kSeed = 31;
+  const SessionFactory factory = step_factory("Walk", WalkStep{}, sim::RngStream{kSeed});
+  const SessionFactory copy = factory;
+  std::vector<std::vector<std::string>> sessions;
+  for (int n = 0; n < 6; ++n) {
+    const std::unique_ptr<SessionScript> script = (n % 2 == 0 ? factory : copy)();
+    EXPECT_STREQ(script->pattern(), "Walk");
+    std::vector<std::string> pages;
+    while (auto req = script->next()) pages.push_back(req->page);
+
+    sim::RngStream rng = sim::RngStream{kSeed}.fork("s" + std::to_string(n));
+    FsmScratch scratch;
+    std::vector<std::string> expected;
+    for (std::uint32_t step = 0;; ++step) {
+      std::optional<PageRequest> req = WalkStep{}(step, scratch, rng);
+      if (!req) break;
+      expected.push_back(req->page);
+    }
+    EXPECT_EQ(pages, expected) << "session " << n;
+    sessions.push_back(std::move(pages));
+  }
+  EXPECT_NE(sessions[0], sessions[1]) << "each session must draw from its own stream";
 }
 
 TEST(SessionFsmTest, ConfigValidationRejectsNonPositiveDurations) {

@@ -6,6 +6,7 @@
 
 #include <memory>
 #include <ostream>
+#include <string>
 
 #include "apps/gridviz/gridviz.hpp"
 #include "apps/petstore/petstore.hpp"
@@ -96,6 +97,32 @@ TEST_P(EveryApp, AsyncRunsDrainAllUpdates) {
   EXPECT_TRUE(exp->runtime().updates_quiescent()) << c.name;
   EXPECT_EQ(exp->runtime().failed_pushes(), 0u);
   EXPECT_EQ(exp->dropped_requests(), 0u);
+}
+
+TEST_P(EveryApp, FsmEngineServesBothPatterns) {
+  // Every app writes its usage patterns once, as step functions, so every
+  // app also runs on the FSM engine: a short closed-loop trial conserves
+  // requests and both patterns reach the collector from both client groups.
+  const AppCase& c = GetParam();
+  apps::AppDriver driver = c.make();
+  ExperimentSpec spec;
+  spec.level = ConfigLevel::kAsyncUpdates;
+  spec.duration = sim::sec(120);
+  spec.warmup = sim::sec(20);
+  spec.fsm_load.enabled = true;
+  Experiment exp{driver, spec, c.calibrate()};
+  exp.run();
+  const auto& r = exp.results();
+  EXPECT_GT(exp.requests_issued(), 0u) << c.name;
+  EXPECT_EQ(exp.requests_issued(), r.total_samples() + r.failures() + r.rejections() +
+                                       r.discarded_samples() + exp.requests_in_flight())
+      << c.name;
+  EXPECT_EQ(exp.requests_issued(), exp.pages_started()) << c.name;
+  for (const std::string& pattern : {driver.browser_pattern, driver.writer_pattern}) {
+    for (ClientGroup group : {ClientGroup::kLocal, ClientGroup::kRemote}) {
+      EXPECT_NE(r.pattern_summary(pattern, group), nullptr) << c.name << ": " << pattern;
+    }
+  }
 }
 
 TEST_P(EveryApp, UtilizationStaysInPaperBands) {

@@ -233,51 +233,6 @@ TEST(ClientSplitTest, TrickleRateGroupStillIssuesRequests) {
   EXPECT_EQ(gen.requests_issued(), exec.requests_);
 }
 
-// --- Regression: empty scripts in the open-loop driver (ISSUE 9 bugfix 2) ----
-// run_open_arrivals used to create (and count) a fresh session on *every*
-// arrival when a factory yields empty scripts, inflating sessions_started
-// without ever issuing a request.
-
-class EmptySession final : public SessionScript {
- public:
-  std::optional<PageRequest> next() override { return std::nullopt; }
-  const char* pattern() const override { return "Empty"; }
-};
-
-SessionFactory empty_factory() {
-  return [] { return std::make_unique<EmptySession>(); };
-}
-
-TEST(OpenLoopTest, EmptyScriptsAreNeverCountedAsSessions) {
-  LoadWorld w;
-  FakeExecutor exec{w.sim, ms(10)};
-  LoadGenerator gen{w.sim, exec, w.collector, {}};
-  ClientGroupSpec s = w.spec(20.0, 0.5);
-  s.browser_factory = empty_factory();
-  s.writer_factory = empty_factory();
-  gen.start_open_group(s, sim::SimTime::origin() + sec(60), w.sim.rng().fork("g"));
-  w.sim.run_until();
-  EXPECT_EQ(gen.sessions_started(), 0u)
-      << "an empty script proves nothing started; ~1200 arrivals must not count";
-  EXPECT_EQ(gen.requests_issued(), 0u);
-  EXPECT_TRUE(w.sim.idle());
-}
-
-TEST(OpenLoopTest, OneSterileKindLeavesTheOtherRunning) {
-  LoadWorld w;
-  FakeExecutor exec{w.sim, ms(10)};
-  LoadGenerator gen{w.sim, exec, w.collector, {}};
-  ClientGroupSpec s = w.spec(10.0, 0.5);
-  s.browser_factory = empty_factory();  // writers stay productive
-  gen.start_open_group(s, sim::SimTime::origin() + sec(120), w.sim.rng().fork("g"));
-  w.sim.run_until();
-  EXPECT_GT(gen.sessions_started(), 0u);
-  EXPECT_EQ(exec.patterns_["Browser"], 0);
-  EXPECT_GT(exec.patterns_["Writer"], 0);
-  // Every counted session produced at least one request.
-  EXPECT_LE(gen.sessions_started(), gen.requests_issued());
-}
-
 // --- Regression: the end-of-run window rule (ISSUE 9 bugfix 3) ---------------
 // Requests count at issue time; nothing issues at or after end_at; a
 // completion landing after end_at records whenever the simulation runs it.
