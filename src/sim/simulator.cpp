@@ -1,8 +1,11 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdio>
 #include <exception>
+
+#include "sim/frame_pool.hpp"
 
 namespace mutsvc::sim {
 
@@ -11,6 +14,13 @@ namespace {
 /// Eager, self-destroying root coroutine used by Simulator::spawn.
 struct DetachedTask {
   struct promise_type {
+    [[nodiscard]] static void* operator new(std::size_t bytes) {
+      return detail::FramePool::allocate(bytes);
+    }
+    static void operator delete(void* p, std::size_t bytes) noexcept {
+      detail::FramePool::deallocate(p, bytes);
+    }
+
     DetachedTask get_return_object() noexcept { return {}; }
     std::suspend_never initial_suspend() noexcept { return {}; }
     std::suspend_never final_suspend() noexcept { return {}; }

@@ -1,8 +1,11 @@
 #pragma once
 
 #include <coroutine>
+#include <cstddef>
 #include <exception>
 #include <utility>
+
+#include "sim/frame_pool.hpp"
 
 namespace mutsvc::sim {
 
@@ -36,6 +39,11 @@ struct FinalAwaiter {
 struct TaskPromiseBase {
   std::coroutine_handle<> continuation;
   std::exception_ptr exception;
+
+  [[nodiscard]] static void* operator new(std::size_t bytes) { return FramePool::allocate(bytes); }
+  static void operator delete(void* p, std::size_t bytes) noexcept {
+    FramePool::deallocate(p, bytes);
+  }
 
   std::suspend_always initial_suspend() noexcept { return {}; }
   FinalAwaiter final_suspend() noexcept { return {}; }

@@ -3,9 +3,14 @@
 // equivalent; the suppression syntax must work at line and file scope.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <system_error>
 
 #include "simlint/lint.hpp"
 
@@ -378,6 +383,78 @@ TEST(SimlintGlobalMutable, ReportsDeclarationLine) {
   ASSERT_EQ(count_rule(f, "global-mutable"), 1u);
   EXPECT_EQ(line_of(f, "global-mutable"), 4);
   EXPECT_NE(f[0].message.find("g_total"), std::string::npos);
+}
+
+// --- path scoping ---------------------------------------------------------------
+
+/// A checkout on disk under `<temp>/<parent>/checkout`, removed at scope
+/// exit: the rules must scope by the path inside the scanned tree, never
+/// by the directories above it.
+class Checkout {
+ public:
+  explicit Checkout(const std::string& parent)
+      : top_(std::filesystem::path(testing::TempDir()) /
+             ("simlint-scope-" + std::to_string(::getpid()) + "-" + parent)),
+        root_(top_ / parent / "checkout") {
+    std::filesystem::remove_all(top_);
+    std::filesystem::create_directories(root_);
+  }
+  Checkout(const Checkout&) = delete;
+  Checkout& operator=(const Checkout&) = delete;
+  ~Checkout() {
+    std::error_code ec;
+    std::filesystem::remove_all(top_, ec);
+  }
+
+  void write(const std::string& rel, const std::string& text) const {
+    const std::filesystem::path p = root_ / rel;
+    std::filesystem::create_directories(p.parent_path());
+    std::ofstream(p) << text;
+  }
+  [[nodiscard]] std::string operator/(const std::string& rel) const {
+    return (root_ / rel).string();
+  }
+
+ private:
+  std::filesystem::path top_;
+  std::filesystem::path root_;
+};
+
+const char* const kAmbientCapture =
+    "void f(Simulator& s, int& n) { s.schedule_after(ms(1), [&] { ++n; }); }\n";
+const char* const kGlobalCounter = "int g_counter = 0;\n";
+
+TEST(SimlintPathScope, ParentNamedSrcDoesNotScopeTestsOrBench) {
+  const Checkout co("src");
+  co.write("tests/foo_test.cpp", kAmbientCapture);
+  co.write("bench/bench_foo.cpp", kGlobalCounter);
+  co.write("src/core/bad.cpp", kGlobalCounter);
+  EXPECT_TRUE(simlint::lint_paths({co / "tests", co / "bench"}).empty());
+  const auto f = simlint::lint_paths({co / "src"});
+  ASSERT_EQ(f.size(), 1u);
+  EXPECT_EQ(f[0].rule, "global-mutable");
+}
+
+TEST(SimlintPathScope, ParentNamedSimDoesNotExemptSrc) {
+  const Checkout co("sim");
+  co.write("src/core/bad.cpp", kGlobalCounter);
+  co.write("src/sim/pool.cpp", kGlobalCounter);  // src/sim/ inside the tree stays exempt
+  const auto f = simlint::lint_paths({co / "src"});
+  ASSERT_EQ(f.size(), 1u);
+  EXPECT_EQ(f[0].rule, "global-mutable");
+  EXPECT_EQ(f[0].file, co / "src/core/bad.cpp");
+  EXPECT_EQ(f[0].line, 1);
+}
+
+TEST(SimlintPathScope, ParentNamedBuildsIsScannedBuildTreesBelowAreNot) {
+  const Checkout co("builds");
+  co.write("src/core/bad.cpp", kGlobalCounter);
+  co.write("build/src/core/generated.cpp", kGlobalCounter);
+  co.write("build-asan/src/core/generated.cpp", kGlobalCounter);
+  co.write(".git/src/core/stale.cpp", kGlobalCounter);
+  const auto f = simlint::lint_paths({co / ""});
+  ASSERT_EQ(f.size(), 1u);
+  EXPECT_EQ(f[0].file, co / "src/core/bad.cpp");
 }
 
 // --- suppressions --------------------------------------------------------------

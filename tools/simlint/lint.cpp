@@ -10,6 +10,7 @@
 #include <ostream>
 #include <set>
 #include <sstream>
+#include <utility>
 
 namespace simlint {
 
@@ -167,7 +168,8 @@ bool has_token(const std::string& line, const std::string& ident, bool require_c
 }
 
 struct FileCtx {
-  std::string path;
+  std::string path;       // echoed in findings
+  std::string tree_path;  // the path inside the scanned tree; rule scopes read it
   std::vector<std::string> raw;
   std::vector<std::string> code;
   std::set<std::string> file_allowed;
@@ -184,8 +186,23 @@ struct FileCtx {
     return at(line) || at(line - 1);
   }
 
-  [[nodiscard]] bool path_contains(const std::string& suffix) const {
-    return path.find(suffix) != std::string::npos;
+  /// Whether the file lies under a directory named `dir` in its path
+  /// inside the scanned tree (`tree_path`, '/'-separated). Directories
+  /// above the scanned root never count.
+  [[nodiscard]] bool under(const std::string& dir) const {
+    std::size_t start = 0;
+    for (std::size_t slash; (slash = tree_path.find('/', start)) != std::string::npos;
+         start = slash + 1) {
+      if (tree_path.compare(start, slash - start, dir) == 0) return true;
+    }
+    return false;
+  }
+
+  /// Whether the file's path inside the scanned tree ends in the path
+  /// `tail` ("sim/time.hpp").
+  [[nodiscard]] bool is(const std::string& tail) const {
+    return tree_path.ends_with(tail) && (tree_path.size() == tail.size() ||
+                                         tree_path[tree_path.size() - tail.size() - 1] == '/');
   }
 };
 
@@ -224,7 +241,7 @@ void add_finding(std::vector<Finding>& out, const FileCtx& ctx, int line, const 
 // --- rule: wall-clock --------------------------------------------------------
 
 void rule_wall_clock(const FileCtx& ctx, std::vector<Finding>& out) {
-  if (ctx.path_contains("sim/time.hpp")) return;
+  if (ctx.is("sim/time.hpp")) return;
   struct Tok {
     const char* t;
     bool call;
@@ -247,7 +264,7 @@ void rule_wall_clock(const FileCtx& ctx, std::vector<Finding>& out) {
 // --- rule: raw-random --------------------------------------------------------
 
 void rule_raw_random(const FileCtx& ctx, std::vector<Finding>& out) {
-  if (ctx.path_contains("sim/random.hpp")) return;
+  if (ctx.is("sim/random.hpp")) return;
   struct Tok {
     const char* t;
     bool call;
@@ -545,10 +562,7 @@ void rule_sim_shared_across_threads(const FileCtx& ctx, std::vector<Finding>& ou
 /// member call on a node-keyed container in component/cache/db code is
 /// flagged and must carry an explicit allow.
 void rule_cross_node_state(const FileCtx& ctx, std::vector<Finding>& out) {
-  if (!ctx.path_contains("component/") && !ctx.path_contains("cache/") &&
-      !ctx.path_contains("db/")) {
-    return;
-  }
+  if (!ctx.under("component") && !ctx.under("cache") && !ctx.under("db")) return;
   static const char* kSuffixes[] = {"caches_", "clients_", "queues_"};
   for (std::size_t i = 0; i < ctx.code.size(); ++i) {
     const std::string& line = ctx.code[i];
@@ -591,7 +605,7 @@ void rule_cross_node_state(const FileCtx& ctx, std::vector<Finding>& out) {
 /// event queues. Product code must capture the owning objects explicitly;
 /// tests (single simulation, lambda outlives the run) are exempt.
 void rule_ambient_node_capture(const FileCtx& ctx, std::vector<Finding>& out) {
-  if (!ctx.path_contains("src/")) return;
+  if (!ctx.under("src")) return;
   static const char* kDeferred[] = {"spawn", "schedule_after", "schedule_at", "subscribe"};
   for (std::size_t i = 0; i < ctx.code.size(); ++i) {
     const std::string& line = ctx.code[i];
@@ -619,7 +633,7 @@ void rule_ambient_node_capture(const FileCtx& ctx, std::vector<Finding>& out) {
 /// declarations at namespace scope are considered; const/constexpr,
 /// functions, types and aliases are skipped.
 void rule_global_mutable(const FileCtx& ctx, std::vector<Finding>& out) {
-  if (!ctx.path_contains("src/") || ctx.path_contains("sim/")) return;
+  if (!ctx.under("src") || ctx.under("sim")) return;
 
   // Statement-level skip tokens: declarations these introduce are either
   // immutable, types, or not variable definitions at all.
@@ -742,9 +756,11 @@ const std::vector<RuleInfo>& rules() {
   return kRules;
 }
 
-std::vector<Finding> lint_source(const std::string& path, const std::string& source) {
+std::vector<Finding> lint_source(const std::string& path, const std::string& source,
+                                 const std::string& tree_path) {
   FileCtx ctx;
   ctx.path = path;
+  ctx.tree_path = tree_path.empty() ? path : tree_path;
   split_and_blank(source, ctx.raw, ctx.code);
   parse_allows(ctx);
 
@@ -767,41 +783,45 @@ std::vector<Finding> lint_source(const std::string& path, const std::string& sou
   return out;
 }
 
-std::vector<Finding> lint_file(const std::string& path) {
+std::vector<Finding> lint_file(const std::string& path, const std::string& tree_path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
     return {Finding{path, 0, "io-error", "cannot open file"}};
   }
   std::ostringstream buf;
   buf << in.rdbuf();
-  return lint_source(path, buf.str());
+  return lint_source(path, buf.str(), tree_path);
 }
 
 std::vector<Finding> lint_paths(const std::vector<std::string>& paths) {
   namespace fs = std::filesystem;
   static const std::set<std::string> kExts = {".hpp", ".h", ".hh", ".cpp", ".cc", ".cxx"};
-  std::vector<std::string> files;
+  std::vector<std::pair<std::string, std::string>> files;  // (path, tree path)
   for (const std::string& p : paths) {
-    if (fs::is_directory(p)) {
-      for (const auto& entry : fs::recursive_directory_iterator(p)) {
-        if (!entry.is_regular_file()) continue;
-        const fs::path& fp = entry.path();
-        if (kExts.count(fp.extension().string()) == 0) continue;
-        bool skip = false;
-        for (const auto& part : fp) {
-          const std::string s = part.string();
-          if (s == ".git" || s.rfind("build", 0) == 0) skip = true;
-        }
-        if (!skip) files.push_back(fp.string());
+    if (!fs::is_directory(p)) {
+      const fs::path here = fs::absolute(p).lexically_normal();
+      files.emplace_back(p, here.lexically_proximate(fs::current_path()).generic_string());
+      continue;
+    }
+    fs::path root = fs::absolute(p).lexically_normal();
+    if (!root.has_filename()) root = root.parent_path();  // "src/" is named "src"
+    for (auto it = fs::recursive_directory_iterator(p); it != fs::recursive_directory_iterator();
+         ++it) {
+      const fs::path& fp = it->path();
+      if (it->is_directory()) {
+        const std::string name = fp.filename().string();
+        if (name == ".git" || name.starts_with("build")) it.disable_recursion_pending();
+        continue;
       }
-    } else {
-      files.push_back(p);
+      if (!it->is_regular_file() || kExts.count(fp.extension().string()) == 0) continue;
+      const fs::path below = fs::absolute(fp).lexically_normal().lexically_relative(root);
+      files.emplace_back(fp.string(), (root.filename() / below).generic_string());
     }
   }
   std::sort(files.begin(), files.end());
   std::vector<Finding> out;
-  for (const std::string& f : files) {
-    std::vector<Finding> ff = lint_file(f);
+  for (const auto& [path, tree_path] : files) {
+    std::vector<Finding> ff = lint_file(path, tree_path);
     out.insert(out.end(), ff.begin(), ff.end());
   }
   return out;

@@ -67,15 +67,25 @@ struct RuleInfo {
 /// file.
 [[nodiscard]] const std::vector<RuleInfo>& rules();
 
-/// Lints one in-memory translation unit. `path` participates in path-based
-/// exemptions (sim/random.hpp, sim/time.hpp) and is echoed in findings.
+/// Lints one in-memory translation unit. `path` is echoed in findings.
+/// `tree_path` is the file's path inside the scanned tree
+/// ("src/core/x.cpp"; empty means `path`): the path-scoped rules (src/,
+/// sim/, component/, cache/, db/) and exemptions (sim/random.hpp,
+/// sim/time.hpp) match its directory names, never a substring.
 [[nodiscard]] std::vector<Finding> lint_source(const std::string& path,
-                                               const std::string& source);
+                                               const std::string& source,
+                                               const std::string& tree_path = {});
 
-/// Lints one file on disk.
-[[nodiscard]] std::vector<Finding> lint_file(const std::string& path);
+/// Lints one file on disk, scoped by `tree_path` as in lint_source.
+[[nodiscard]] std::vector<Finding> lint_file(const std::string& path,
+                                             const std::string& tree_path);
 
-/// Lints files and directories (recursing into .hpp/.h/.cpp/.cc files).
+/// Lints files and directories (recursing into .hpp/.h/.hh/.cpp/.cc/.cxx
+/// files). A directory's files are scoped by the directory's own name plus
+/// their path below it (`simlint /any/where/src` scopes "src/core/x.cpp"),
+/// so the directories above a scanned root decide nothing; below it,
+/// directories named build* or .git are skipped. A file named directly is
+/// scoped by its path relative to the working directory.
 [[nodiscard]] std::vector<Finding> lint_paths(const std::vector<std::string>& paths);
 
 /// "file:line: [rule] message" per finding.
