@@ -1,6 +1,7 @@
 // Flash-crowd overload bench: open-loop Poisson session arrivals (the FSM
 // engine's arrival layer) swept from 1x to 10x the calibrated capacity,
-// with overload protection off and on. Self-checking:
+// with overload protection (per-entry-node admission control) off and on.
+// Self-checking:
 //   - protected: goodput at 10x stays within 90% of the protected 1x cell,
 //     and admitted-page p99 stays bounded (the service keeps its SLO by
 //     shedding at the door instead of collapsing in the queues);
@@ -27,7 +28,6 @@
 #include "core/calibration.hpp"
 #include "core/experiment.hpp"
 #include "core/sweep.hpp"
-#include "net/flowcontrol.hpp"
 #include "tools/perf/perfjson.hpp"
 #include "workload/arrivals.hpp"
 
@@ -89,13 +89,8 @@ CellResult run_cell(const Cell& cell, const ExperimentSpec& base) {
       mutsvc::workload::RateEnvelope::constant(kBaseRate * cell.multiplier / kPagesPerSession);
   spec.seed = 0xF1A5 + static_cast<std::uint64_t>(cell.multiplier * 10.0);
   if (cell.flow) {
-    spec.flow.enabled = true;
     spec.flow.admission_rate = kAdmitPerEntry;
     spec.flow.admission_burst = 20.0;
-    spec.flow.topic_queue.capacity = 16;
-    spec.flow.topic_queue.policy = mutsvc::net::OverflowPolicy::kLocalOverflow;
-    spec.flow.write_queue.capacity = 64;
-    spec.flow.backpressure = true;
   }
 
   mutsvc::core::HarnessCalibration cal = mutsvc::core::petstore_calibration();

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "db/value.hpp"
@@ -55,37 +54,5 @@ struct UpdateBatch {
     return total;
   }
 };
-
-/// Merges `from` into `into`, last-write-wins *by version* per key: for an
-/// (entity, pk) or cache_key present in both, the entry with the higher
-/// version survives (ties keep the incoming entry — equal versions carry
-/// identical state, see the caches' apply_push). Entries only ever get
-/// replaced by same-or-newer state, so coalescing batches can never roll a
-/// replica back or drop a key's final state, and the merge commutes with
-/// the replicas' version-monotonic apply.
-inline void merge_into(UpdateBatch& into, UpdateBatch&& from) {
-  for (EntityUpdate& e : from.entities) {
-    bool found = false;
-    for (EntityUpdate& existing : into.entities) {
-      if (existing.entity == e.entity && existing.pk == e.pk) {
-        found = true;
-        if (e.version >= existing.version) existing = std::move(e);
-        break;
-      }
-    }
-    if (!found) into.entities.push_back(std::move(e));
-  }
-  for (QueryRefresh& q : from.queries) {
-    bool found = false;
-    for (QueryRefresh& existing : into.queries) {
-      if (existing.cache_key == q.cache_key) {
-        found = true;
-        if (q.version >= existing.version) existing = std::move(q);
-        break;
-      }
-    }
-    if (!found) into.queries.push_back(std::move(q));
-  }
-}
 
 }  // namespace mutsvc::cache

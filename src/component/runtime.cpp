@@ -125,20 +125,6 @@ Runtime::Runtime(sim::Simulator& sim, net::Topology& topo, net::Network& net,
       }
     }
     for (net::NodeId edge : update_targets()) update_subscribers_.insert(edge);
-    if (cfg_.coalesce_quantum > sim::Duration::zero()) {
-      coalescer_ = std::make_unique<msg::Coalescer<cache::UpdateBatch>>(
-          sim_, topics_.size(), cfg_.coalesce_quantum,
-          [](cache::UpdateBatch& into, cache::UpdateBatch&& from) {
-            cache::merge_into(into, std::move(from));
-          },
-          [this](std::size_t lane, cache::UpdateBatch merged) {
-            return publish_lane(lane, std::move(merged));
-          });
-    }
-    if (cfg_.flow.enabled) {
-      for (auto& t : topics_) t->set_bound(cfg_.flow.topic_queue, cfg_.flow.backpressure);
-      if (coalescer_) coalescer_->set_bound(cfg_.flow.coalescer_lane);
-    }
   }
   // Create every replica the plan declares up front, so the per-node
   // metrics (sample_metrics) report each one from the first sample on —
@@ -427,30 +413,6 @@ void Runtime::sample_metrics(sim::SimTime now, sim::Duration window) {
     m.set_gauge(p + "queue_depth", static_cast<double>(t->queue_depth()));
     m.series(p + "pending", window).add(now, static_cast<double>(t->pending()));
     m.series(p + "queue_depth", window).add(now, static_cast<double>(t->queue_depth()));
-    if (cfg_.flow.enabled) {
-      m.set_counter(p + "shed", t->shed());
-      m.set_counter(p + "bounced", t->bounced());
-      m.set_counter(p + "spilled", t->spilled());
-      m.set_counter(p + "credit_stalls", t->credit_stalls());
-      m.set_gauge(p + "spill_depth", static_cast<double>(t->spill_depth()));
-    }
-  }
-  if (coalescer_ != nullptr) {
-    m.set_counter("coalescer.enqueued", coalescer_->enqueued());
-    m.set_counter("coalescer.merges", coalescer_->merges());
-    m.set_counter("coalescer.flushes", coalescer_->flushes());
-    m.set_counter("coalescer.flush_failures", coalescer_->flush_failures());
-    for (std::size_t lane = 0; lane < coalescer_->lanes(); ++lane) {
-      m.series("coalescer.lane" + std::to_string(lane) + ".depth", window)
-          .add(now, static_cast<double>(coalescer_->lane_depth(lane)));
-    }
-    if (cfg_.flow.enabled) {
-      m.set_counter("coalescer.enqueue_attempts", coalescer_->enqueue_attempts());
-      m.set_counter("coalescer.shed", coalescer_->shed());
-      m.set_counter("coalescer.bounced", coalescer_->bounced());
-      m.set_counter("coalescer.spilled", coalescer_->spilled());
-      m.set_gauge("coalescer.spill_depth", static_cast<double>(coalescer_->spill_depth()));
-    }
   }
   for (const auto& [edge, q] : write_queues_) {
     m.series("writequeue." + topo_.node(edge).name + ".pending", window)
@@ -506,7 +468,6 @@ msg::Topic<Runtime::QueuedWrite>& Runtime::write_queue(net::NodeId edge) {
     topic->set_retry_interval(sim::sec(1));
     topic->subscribe(plan_.main_server(),
                      [this](const QueuedWrite& w) { return apply_queued_write(w); });
-    if (cfg_.flow.enabled) topic->set_bound(cfg_.flow.write_queue);
     it = write_queues_.emplace(edge, std::move(topic)).first;  // simlint:allow(cross-node-state) — node-checked accessor (lazy creation)
   }
   return *it->second;
@@ -911,9 +872,6 @@ sim::Task<void> Runtime::write_impl(CallContext* ctx, net::NodeId node, EntityId
       // (bitwise frame spill) — build a named local instead.
       QueuedWrite queued{entity, write, affected_queries};
       const sim::SimTime q0 = sim_.now();
-      // Counted only after the queue accepted the write: a bounced publish
-      // (bounded write queue, kBounce) was never queued, so it must not
-      // enter the write-queue conservation identity.
       co_await write_queue(node).publish(node, std::move(queued), wire, trace);
       ++queued_writes_;
       if (trace) trace->add(SpanKind::kPublish, sim_.now() - q0);
@@ -1160,26 +1118,12 @@ sim::Task<void> Runtime::push_blocking(cache::UpdateBatch batch, TraceSink* trac
 
 std::vector<cache::UpdateBatch> Runtime::split_by_shard(cache::UpdateBatch batch) const {
   std::vector<cache::UpdateBatch> lanes(topics_.size());
+  // Query results span shards; their refreshes ride the coordinator lane.
+  lanes[0].queries = std::move(batch.queries);
   for (cache::EntityUpdate& e : batch.entities) {
     lanes[db_.router().shard_of(e.pk)].entities.push_back(std::move(e));
   }
-  // Query results span shards; their refreshes ride the coordinator lane.
-  for (cache::QueryRefresh& q : batch.queries) {
-    lanes[0].queries.push_back(std::move(q));
-  }
   return lanes;
-}
-
-sim::Task<void> Runtime::publish_lane(std::size_t lane, cache::UpdateBatch batch) {
-  // Backpressure (flow control §4): when a subscriber's backlog crosses the
-  // topic's high watermark its credit gate closes, parking the coalescer
-  // flush (and direct publishers) until the drain brings the backlog back
-  // under the low watermark. With the gate open this completes
-  // synchronously — no simulator event, so the unprotected trajectory is
-  // untouched.
-  if (backpressure_enabled()) co_await topics_.at(lane)->credit_wait();
-  const net::Bytes bytes = batch.wire_bytes(cfg_.delta_encoding);
-  co_await topics_.at(lane)->publish(plan_.main_server(), std::move(batch), bytes, nullptr);
 }
 
 sim::Task<void> Runtime::publish_async(cache::UpdateBatch batch, TraceSink* trace) {
@@ -1214,25 +1158,13 @@ sim::Task<void> Runtime::publish_async(cache::UpdateBatch batch, TraceSink* trac
   }
   // The writer only waits for the local provider to accept the message.
   co_await sim_.wait(cfg_.jms_accept);
-  if (topics_.size() == 1 && coalescer_ == nullptr) {
-    // Unsharded, uncoalesced: the paper's §4.5 path, event for event.
-    if (backpressure_enabled()) co_await topics_[0]->credit_wait();
-    const net::Bytes bytes = batch.wire_bytes(cfg_.delta_encoding);
-    co_await topics_[0]->publish(plan_.main_server(), std::move(batch), bytes, trace);
-  } else {
-    std::vector<cache::UpdateBatch> lanes = split_by_shard(std::move(batch));
-    for (std::size_t s = 0; s < lanes.size(); ++s) {
-      if (lanes[s].empty()) continue;
-      if (coalescer_ != nullptr) {
-        // Buffered for the lane's next quantum flush; the writer is done
-        // once the provider has the dirty state.
-        coalescer_->enqueue(s, std::move(lanes[s]));
-      } else {
-        if (backpressure_enabled()) co_await topics_[s]->credit_wait();
-        const net::Bytes bytes = lanes[s].wire_bytes(cfg_.delta_encoding);
-        co_await topics_[s]->publish(plan_.main_server(), std::move(lanes[s]), bytes, trace);
-      }
-    }
+  // One publish per non-empty shard lane, in lane order. With one shard the
+  // whole batch is lane 0: the paper's single §4.5 topic.
+  std::vector<cache::UpdateBatch> lanes = split_by_shard(std::move(batch));
+  for (std::size_t s = 0; s < lanes.size(); ++s) {
+    if (lanes[s].empty()) continue;
+    const net::Bytes bytes = lanes[s].wire_bytes(cfg_.delta_encoding);
+    co_await topics_[s]->publish(plan_.main_server(), std::move(lanes[s]), bytes, trace);
   }
   if (trace) {
     const sim::SimTime p1 = sim_.now();

@@ -28,7 +28,6 @@
 #include "component/trace.hpp"
 #include "db/database.hpp"
 #include "db/jdbc.hpp"
-#include "messaging/coalescer.hpp"
 #include "messaging/topic.hpp"
 #include "net/flowcontrol.hpp"
 #include "net/http.hpp"
@@ -50,20 +49,10 @@ struct RuntimeConfig {
   sim::Duration jms_accept = sim::ms(2);       // provider accept (publish side)
   db::JdbcConfig jdbc;
   bool delta_encoding = false;  // push only modified fields (§4.3)
-  /// Batched update coalescing for async propagation: zero (the default,
-  /// the paper's behaviour) publishes one batch per transaction; positive
-  /// buffers dirty state per shard topic and flushes one merged batch per
-  /// quantum, so push cost scales with shards × edges instead of
-  /// transactions × edges.
-  sim::Duration coalesce_quantum = sim::Duration::zero();
   /// §4.3 vendor-style timeout invalidation for read-only beans; zero (the
   /// default, the paper's configuration) disables expiry — freshness is
   /// the push protocol's job.
   sim::Duration ro_ttl = sim::Duration::zero();
-  /// Overload protection knobs (net/flowcontrol.hpp). Disabled by default:
-  /// no bounds are installed, so every flow-control branch in the runtime
-  /// is dead and the trajectory is bit-identical to the unprotected build.
-  net::FlowControlConfig flow;
 };
 
 struct CallResult {
@@ -360,9 +349,6 @@ class Runtime {
     return s < topics_.size() ? topics_[s].get() : nullptr;
   }
   [[nodiscard]] std::size_t update_topic_count() const { return topics_.size(); }
-  /// The batched-update coalescer; null unless async updates run with a
-  /// positive coalesce_quantum.
-  [[nodiscard]] msg::Coalescer<cache::UpdateBatch>* coalescer() { return coalescer_.get(); }
 
   // --- graceful degradation accounting ------------------------------------
   [[nodiscard]] std::uint64_t degraded_reads() const { return degraded_reads_; }
@@ -372,10 +358,8 @@ class Runtime {
   [[nodiscard]] std::uint64_t cache_rewarms() const { return cache_rewarms_; }
 
   /// True when all asynchronously published updates have been applied —
-  /// nothing buffered in the coalescer, nothing in flight on any shard
-  /// topic.
+  /// nothing in flight on any shard topic.
   [[nodiscard]] bool updates_quiescent() const {
-    if (coalescer_ != nullptr && !coalescer_->idle()) return false;
     for (const auto& t : topics_) {
       if (!t->quiescent()) return false;
     }
@@ -436,52 +420,9 @@ class Runtime {
   [[nodiscard]] std::uint64_t late_stragglers() const { return late_stragglers_; }
 
   /// True when every queued degraded-mode write has been applied (or
-  /// dropped after exhausting redelivery, or terminally shed by a bounded
-  /// write queue under the kDrop overflow policy).
+  /// dropped after exhausting redelivery).
   [[nodiscard]] bool write_queues_quiescent() const {
-    return queued_writes_ ==
-           queued_writes_applied_ + queued_writes_dropped_ + write_queue_shed();
-  }
-
-  // --- flow-control accounting ---------------------------------------------
-  /// Queued degraded-mode writes shed by bounded write queues (kDrop), summed
-  /// across edges.
-  [[nodiscard]] std::uint64_t write_queue_shed() const {
-    std::uint64_t n = 0;
-    for (const auto& [edge, q] : write_queues_) n += q->shed();
-    return n;
-  }
-  /// Degraded-mode writes bounced by bounded write queues (kBounce), summed
-  /// across edges. Bounced writes were never accepted, so they do not count
-  /// toward queued_writes().
-  [[nodiscard]] std::uint64_t write_queue_bounced() const {
-    std::uint64_t n = 0;
-    for (const auto& [edge, q] : write_queues_) n += q->bounced();
-    return n;
-  }
-  /// Update-fan-out deliveries shed across all shard topics (kDrop).
-  [[nodiscard]] std::uint64_t topic_shed() const {
-    std::uint64_t n = 0;
-    for (const auto& t : topics_) n += t->shed();
-    return n;
-  }
-  /// Async publishes bounced by bounded shard topics (kBounce).
-  [[nodiscard]] std::uint64_t topic_bounced() const {
-    std::uint64_t n = 0;
-    for (const auto& t : topics_) n += t->bounced();
-    return n;
-  }
-  /// Deliveries parked in per-subscriber spill buffers (kLocalOverflow).
-  [[nodiscard]] std::uint64_t topic_spilled() const {
-    std::uint64_t n = 0;
-    for (const auto& t : topics_) n += t->spilled();
-    return n;
-  }
-  /// Publisher stalls absorbed by topic credit gates (backpressure).
-  [[nodiscard]] std::uint64_t credit_stalls() const {
-    std::uint64_t n = 0;
-    for (const auto& t : topics_) n += t->credit_stalls();
-    return n;
+    return queued_writes_ == queued_writes_applied_ + queued_writes_dropped_;
   }
 
  private:
@@ -565,12 +506,6 @@ class Runtime {
 
   /// True when the middleware-level degradation policy is active.
   [[nodiscard]] bool degraded_mode() const { return rmi_.resilience().enabled; }
-
-  /// True when publishers should wait on topic credit gates before
-  /// publishing (flow control enabled, backpressure on, bounded topics).
-  [[nodiscard]] bool backpressure_enabled() const {
-    return cfg_.flow.enabled && cfg_.flow.backpressure && cfg_.flow.topic_queue.bounded();
-  }
 
   /// Bounded staleness check for degraded reads: the entry at `version` may
   /// be served when it lags the master by at most the plan's TACT staleness
@@ -687,10 +622,6 @@ class Runtime {
   /// (whose results span shards) ride the coordinator lane 0.
   [[nodiscard]] std::vector<cache::UpdateBatch> split_by_shard(cache::UpdateBatch batch) const;
 
-  /// Publishes one (possibly coalesced) batch on shard lane `lane`.
-  /// NOTE: coroutine — `batch` by value.
-  [[nodiscard]] sim::Task<void> publish_lane(std::size_t lane, cache::UpdateBatch batch);
-
   /// Edge nodes that must receive updates (RO replicas or query caches).
   [[nodiscard]] const std::vector<net::NodeId>& update_targets() {
     return plan_index().update_targets;
@@ -750,7 +681,6 @@ class Runtime {
   /// One update topic per data-tier shard (lane s carries shard s's dirty
   /// rows); empty unless the plan runs async updates.
   std::vector<std::unique_ptr<msg::Topic<cache::UpdateBatch>>> topics_;
-  std::unique_ptr<msg::Coalescer<cache::UpdateBatch>> coalescer_;
   std::map<net::NodeId, std::unique_ptr<msg::Topic<QueuedWrite>>> write_queues_;
   /// Interaction counters, [caller endpoint][callee endpoint].
   std::vector<std::vector<InteractionStat>> profile_;

@@ -1,6 +1,7 @@
 #include "core/experiment.hpp"
 
 #include <memory>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -16,12 +17,21 @@ TestbedConfig testbed_for(const apps::AppDriver& driver, HarnessCalibration cal,
   return t;
 }
 
-comp::RuntimeConfig runtime_config_for(const HarnessCalibration& cal,
-                                       const ExperimentSpec& spec) {
-  comp::RuntimeConfig cfg = cal.runtime;
-  cfg.coalesce_quantum = spec.shard.coalesce_quantum;
-  cfg.flow = spec.flow;
-  return cfg;
+// The token buckets are built lazily inside the first page's coroutine,
+// where an exception would terminate the process; so the constructor builds
+// one up front to refuse a malformed admission config. Any rate but zero
+// (admission off) must make a valid bucket: a negative or NaN rate would
+// otherwise leave admission silently off.
+void check_admission(const net::FlowControlConfig& flow) {
+  if (flow.admission_rate == 0.0) return;
+  try {
+    [[maybe_unused]] const net::TokenBucket probe{flow.admission_rate, flow.admission_burst};
+  } catch (const std::invalid_argument& e) {
+    std::ostringstream why;
+    why << "Experiment: flow.admission_rate " << flow.admission_rate
+        << " with flow.admission_burst " << flow.admission_burst << " refused: " << e.what();
+    throw std::invalid_argument(why.str());
+  }
 }
 
 constexpr const char* kObserverClash =
@@ -42,6 +52,7 @@ Experiment::Experiment(const apps::AppDriver& driver, ExperimentSpec spec,
       http_(net_, cal.http),
       rmi_(net_, cal.rmi),
       collector_(spec.warmup) {
+  check_admission(spec_.flow);
   db_ = std::make_unique<db::Database>(topo_, nodes_.db_nodes, cal_.db_cost);
   driver_.install_database(*db_);
   // Install the policy before the runtime copies the transport config for
@@ -50,12 +61,11 @@ Experiment::Experiment(const apps::AppDriver& driver, ExperimentSpec spec,
   comp::DeploymentPlan plan = spec_.custom_plan
                                   ? spec_.custom_plan(nodes_)
                                   : build_plan(*driver_.app, *driver_.meta, nodes_, spec_.level);
-  // Before the Runtime exists: domain tagging must see an empty event heap,
-  // and the Runtime's construction-time spawns (update coalescer) land in
-  // the tagged main domain.
+  // Before anything can schedule an event: domain tagging needs an empty
+  // event heap.
   setup_domains(plan);
   runtime_ = std::make_unique<comp::Runtime>(sim_, topo_, net_, rmi_, *db_, *driver_.app,
-                                             std::move(plan), runtime_config_for(cal_, spec_));
+                                             std::move(plan), cal_.runtime);
   driver_.bind_entities(*runtime_);
   if (spec_.placement.enabled) {
     // Versioned runtime bindings + live migration + controller (DESIGN
@@ -70,9 +80,6 @@ Experiment::Experiment(const apps::AppDriver& driver, ExperimentSpec spec,
       controller_ = std::make_unique<comp::PlacementController>(sim_, *runtime_, *bindings_,
                                                                 *migrator_, spec_.placement);
     }
-  }
-  if (spec_.flow.enabled && spec_.flow.wan_rate_bps > 0.0) {
-    net_.set_wan_rate_limit(spec_.flow.wan_rate_bps, spec_.flow.wan_burst_bytes);
   }
   if (!spec_.fault_plan.empty()) {
     faults_ = std::make_unique<net::FaultInjector>(sim_, topo_, spec_.fault_plan);
@@ -138,10 +145,10 @@ sim::FifoResource& Experiment::thread_pool(net::NodeId server) {
 sim::Task<workload::RequestOutcome> Experiment::execute(net::NodeId client_node,
                                                         const workload::PageRequest& request) {
   net::NodeId server = runtime_->plan().entry_point(client_node);
-  // Admission control (flow control §1): a deterministic token bucket per
-  // entry node sheds excess pages up front — the cheapest place to refuse
-  // work is before any of it happens. Refusal is instant (no sim time).
-  if (spec_.flow.enabled && spec_.flow.admission_rate > 0.0) {
+  // Admission control: a deterministic token bucket per entry node sheds
+  // excess pages up front — the cheapest place to refuse work is before any
+  // of it happens. Refusal is instant (no sim time).
+  if (spec_.flow.admission_rate > 0.0) {
     auto it = admission_.find(server);
     if (it == admission_.end()) {
       it = admission_
@@ -265,16 +272,10 @@ sim::Task<void> Experiment::metrics_sampler(sim::SimTime end) {
   while (sim_.now() < end) {
     co_await sim_.wait(metrics_window_);
     runtime_->sample_metrics(sim_.now(), metrics_window_);
-    if (spec_.flow.enabled) {
-      for (const auto& [node, bucket] : admission_) {
-        stats::MetricsRegistry& reg = runtime_->metrics(node);
-        reg.set_counter("flow.admission.admitted", bucket.admitted());
-        reg.set_counter("flow.admission.rejected", bucket.rejected());
-      }
-      stats::MetricsRegistry& main = runtime_->metrics(nodes_.main_server);
-      main.set_counter("flow.wan.throttled", net_.wan_throttled());
-      main.set_counter("flow.wan.throttle_ms",
-                       static_cast<std::uint64_t>(net_.wan_throttle_time().as_millis()));
+    for (const auto& [node, bucket] : admission_) {
+      stats::MetricsRegistry& reg = runtime_->metrics(node);
+      reg.set_counter("flow.admission.admitted", bucket.admitted());
+      reg.set_counter("flow.admission.rejected", bucket.rejected());
     }
   }
 }

@@ -36,12 +36,9 @@ namespace mutsvc::core {
 struct ShardConfig {
   /// Hash-partitioned database shards; each gets its own node and service
   /// resource on the main site's LAN (shard 0 keeps the single-DB
-  /// placement, so 1 is the unsharded baseline bit for bit).
+  /// placement, so 1 is the unsharded baseline bit for bit). Async updates
+  /// publish on one topic per shard.
   std::size_t shards = 1;
-  /// Batched update coalescing for async propagation: zero (default, the
-  /// paper's behaviour) publishes one batch per transaction; positive
-  /// flushes one merged batch per shard topic per quantum.
-  sim::Duration coalesce_quantum = sim::Duration::zero();
 };
 
 /// Million-session FSM load engine configuration (DESIGN §16). Opt-in: the
@@ -106,9 +103,9 @@ struct ExperimentSpec {
   /// Middleware resilience policy: RMI retry/timeout/circuit-breaker plus
   /// client-side whole-page retries. Disabled by default (seed behavior).
   net::ResilienceConfig resilience;
-  /// Overload protection: admission control, bounded queues with shedding,
-  /// WAN rate limits, backpressure. Off by default — a disabled config is
-  /// bit-identical to the pre-flow-control harness (golden-enforced).
+  /// Overload protection: per-entry-node admission control. Off by default
+  /// (zero rate). The constructor refuses any other rate, with its burst,
+  /// that `net::TokenBucket` refuses.
   net::FlowControlConfig flow;
   /// Million-session FSM load engine and its session arrivals (DESIGN §16).
   FsmLoadSpec fsm_load;
@@ -172,7 +169,7 @@ class Experiment final : public workload::RequestExecutor {
   }
 
   // workload::RequestExecutor: one HTTP page request end to end, with
-  // admission control at the entry node (when flow control enables it),
+  // admission control at the entry node (when spec.flow sets a rate),
   // entry-point failover on unreachable servers and (when resilience is
   // enabled) bounded whole-page retries on transient network faults.
   // kFailed means the request was ultimately dropped; kRejected means
@@ -307,8 +304,8 @@ class Experiment final : public workload::RequestExecutor {
   /// group's lookahead domain.
   std::vector<std::unique_ptr<workload::SessionFsmEngine>> fsm_engines_;
   std::map<net::NodeId, std::unique_ptr<sim::FifoResource>> thread_pools_;
-  /// One admission bucket per entry node (lazily created; empty unless the
-  /// flow config enables admission control).
+  /// One admission bucket per entry node (lazily created; empty unless
+  /// spec.flow.admission_rate is positive).
   std::map<net::NodeId, net::TokenBucket> admission_;
   /// Node → lookahead domain after the coupling merge; installed on the
   /// kernel and the network at construction.

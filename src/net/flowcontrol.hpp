@@ -7,69 +7,11 @@
 #include <deque>
 #include <stdexcept>
 
-#include "net/types.hpp"
 #include "sim/simulator.hpp"
 #include "sim/task.hpp"
 #include "sim/time.hpp"
 
 namespace mutsvc::net {
-
-/// A bounded queue refused an item under OverflowPolicy::kBounce. Derives
-/// from NetError so it rides the existing transient-failure machinery —
-/// whole-page retries, coalescer flush re-merge, queued-write redelivery —
-/// instead of needing its own recovery paths.
-class OverloadError : public NetError {
- public:
-  using NetError::NetError;
-};
-
-/// What a bounded queue does with an arrival once it is at capacity
-/// (the multi-DC overflow menu): drop it on the floor, bounce it back to
-/// the producer as a retryable failure, or divert it into a local spill
-/// buffer that drains once the queue falls to its low watermark.
-enum class OverflowPolicy { kDrop, kBounce, kLocalOverflow };
-
-[[nodiscard]] inline const char* to_string(OverflowPolicy p) {
-  switch (p) {
-    case OverflowPolicy::kDrop:
-      return "drop";
-    case OverflowPolicy::kBounce:
-      return "bounce";
-    case OverflowPolicy::kLocalOverflow:
-      return "local-overflow";
-  }
-  return "?";
-}
-
-/// Capacity + overflow policy for one queue family. `capacity == 0` keeps
-/// the seed's unbounded behaviour (no shedding, no watermarks, no credit
-/// signal) — the off state must be indistinguishable from the pre-flow-
-/// control code, event for event.
-struct QueueBound {
-  std::size_t capacity = 0;
-  OverflowPolicy policy = OverflowPolicy::kDrop;
-  /// kLocalOverflow: spill-buffer capacity per queue (0 = unbounded spill).
-  /// A full spill buffer sheds, so memory stays bounded either way.
-  std::size_t spill_capacity = 0;
-  /// Credit watermarks on the backlog (queue + spill). Zero derives 3/4 of
-  /// capacity (high) and 1/4 (low).
-  std::size_t high_watermark = 0;
-  std::size_t low_watermark = 0;
-
-  [[nodiscard]] bool bounded() const { return capacity > 0; }
-  [[nodiscard]] std::size_t high() const {
-    if (!bounded()) return 0;
-    const std::size_t h =
-        high_watermark > 0 ? high_watermark : std::max<std::size_t>(1, capacity * 3 / 4);
-    return std::min(h, capacity);
-  }
-  [[nodiscard]] std::size_t low() const {
-    if (!bounded()) return 0;
-    const std::size_t h = high();
-    const std::size_t l = low_watermark > 0 ? low_watermark : capacity / 4;
-    return h > 0 ? std::min(l, h - 1) : 0;  // hysteresis needs low < high
-  }
-};
 
 /// Deterministic token bucket on the integer simulation clock, in GCRA
 /// form: instead of a fractional token count it tracks the theoretical
@@ -79,14 +21,28 @@ struct QueueBound {
 class TokenBucket {
  public:
   /// `rate_per_sec` sustained admissions per second; `burst` requests may
-  /// pass back to back after an idle period (>= 1).
+  /// pass back to back after an idle period. Refuses a rate that is not
+  /// finite and positive, a burst that is not finite and >= 1, and a pair
+  /// whose refill window does not fit the microsecond clock.
   TokenBucket(double rate_per_sec, double burst) {
-    if (rate_per_sec <= 0.0) throw std::invalid_argument("TokenBucket: rate must be > 0");
-    if (burst < 1.0) throw std::invalid_argument("TokenBucket: burst must be >= 1");
-    const auto us = static_cast<std::int64_t>(std::llround(1e6 / rate_per_sec));
-    increment_ = sim::Duration::micros(std::max<std::int64_t>(us, 1));
-    tolerance_ = sim::Duration::micros(static_cast<std::int64_t>(
-        std::llround((burst - 1.0) * static_cast<double>(increment_.count_micros()))));
+    if (!std::isfinite(rate_per_sec) || rate_per_sec <= 0.0) {
+      throw std::invalid_argument("TokenBucket: rate must be finite and > 0");
+    }
+    if (!std::isfinite(burst) || burst < 1.0) {
+      throw std::invalid_argument("TokenBucket: burst must be finite and >= 1");
+    }
+    // One admission's spacing in whole microseconds (at least one).
+    const double increment = std::max(std::round(1e6 / rate_per_sec), 1.0);
+    // burst × increment bounds both the tolerance and how far the TAT runs
+    // ahead of `now`; capped at half the int64 clock, neither overflows
+    // while `now` is under the other half (146,000 simulated years).
+    if (burst * increment > kMaxWindowMicros) {
+      throw std::invalid_argument(
+          "TokenBucket: burst / rate must fit the microsecond clock (at most 2^62 us)");
+    }
+    increment_ = sim::Duration::micros(static_cast<std::int64_t>(increment));
+    tolerance_ = sim::Duration::micros(
+        static_cast<std::int64_t>(std::llround((burst - 1.0) * increment)));
   }
 
   /// Admits or rejects the arrival at `now`; admission commits one token.
@@ -104,6 +60,8 @@ class TokenBucket {
   [[nodiscard]] std::uint64_t rejected() const { return rejected_; }
 
  private:
+  static constexpr double kMaxWindowMicros = 0x1p62;
+
   sim::Duration increment_;
   sim::Duration tolerance_;
   sim::SimTime tat_ = sim::SimTime::origin();
@@ -111,59 +69,11 @@ class TokenBucket {
   std::uint64_t rejected_ = 0;
 };
 
-/// Byte-rate shaper for a link (the WAN rate limit): a leaky bucket over
-/// bytes that never rejects — it returns how long the caller must delay
-/// before its bytes may enter the pipe. State commits at reservation time,
-/// so concurrent senders are serialized deterministically in call order.
-class RateLimiter {
- public:
-  /// `rate_bps` in bits per second (matching Link::bandwidth_bps);
-  /// exactly `burst_bytes` may enter immediately after an idle period.
-  RateLimiter(double rate_bps, Bytes burst_bytes)
-      : rate_bps_(rate_bps), burst_(static_cast<double>(burst_bytes)), tokens_(burst_) {
-    if (rate_bps <= 0.0) throw std::invalid_argument("RateLimiter: rate must be > 0");
-  }
-
-  /// Reserves `size` bytes at `now`; the caller must wait the returned
-  /// duration before transmitting (zero when within the burst allowance).
-  [[nodiscard]] sim::Duration reserve(sim::SimTime now, Bytes size) {
-    // Continuous line-rate refill capped at the burst depth. `tokens_`
-    // goes negative when callers reserve ahead of the line rate; the
-    // deficit is exactly the backlog this reservation must wait out.
-    if (now > last_) {
-      const double refill = (now - last_).as_seconds() * rate_bps_ / 8.0;
-      tokens_ = std::min(burst_, tokens_ + refill);
-      last_ = now;
-    }
-    tokens_ -= static_cast<double>(size);
-    bytes_ += size;
-    if (tokens_ >= 0.0) return sim::Duration::zero();
-    const sim::Duration delay = sim::Duration::seconds(-tokens_ * 8.0 / rate_bps_);
-    ++throttled_;
-    throttle_time_ += delay;
-    return delay;
-  }
-
-  [[nodiscard]] std::uint64_t throttled() const { return throttled_; }
-  [[nodiscard]] sim::Duration throttle_time() const { return throttle_time_; }
-  [[nodiscard]] Bytes bytes_shaped() const { return bytes_; }
-
- private:
-  double rate_bps_;
-  double burst_;
-  double tokens_;
-  sim::SimTime last_ = sim::SimTime::origin();
-  std::uint64_t throttled_ = 0;
-  sim::Duration throttle_time_;
-  Bytes bytes_ = 0;
-};
-
-/// The backpressure credit signal: writers `co_await wait()` before
-/// producing; a queue crossing its high watermark closes the gate, parking
-/// them, and falling back to the low watermark reopens it, resuming the
-/// parked writers in FIFO order. Each resumed writer re-checks the gate, so
-/// a refill that immediately re-crosses the high watermark parks the rest
-/// again — the producers collectively slow to the consumer's drain rate.
+/// A FIFO park gate: callers `co_await wait()`, which completes at once
+/// while the gate is open and parks them while it is closed. Reopening
+/// resumes the parked callers in arrival order; each resumed caller
+/// re-checks the gate, so one that finds it closed again parks again.
+/// Migration closes a component's gate to quiesce its calls (DESIGN §17).
 class CreditGate {
  public:
   explicit CreditGate(sim::Simulator& sim) : sim_(sim) {}
@@ -173,15 +83,13 @@ class CreditGate {
 
   [[nodiscard]] bool open() const { return open_; }
   [[nodiscard]] std::size_t waiting() const { return waiters_.size(); }
-  /// Number of wait() calls that actually parked (counted once per call).
-  [[nodiscard]] std::uint64_t stalls() const { return stalls_; }
 
   void close_gate() { open_ = false; }
 
   void open_gate() {
     if (open_) return;
     open_ = true;
-    // Move the list out first: a resumed writer may close the gate and
+    // Move the list out first: a resumed caller may close the gate and
     // park again inside its resume.
     std::deque<std::coroutine_handle<>> parked = std::move(waiters_);
     waiters_.clear();
@@ -193,16 +101,9 @@ class CreditGate {
   }
 
   /// Completes immediately while the gate is open (no event scheduled, so
-  /// the trajectory is untouched when flow control never closes it).
+  /// the trajectory is untouched while nothing closes it).
   [[nodiscard]] sim::Task<void> wait() {
-    bool counted = false;
-    while (!open_) {
-      if (!counted) {
-        ++stalls_;
-        counted = true;
-      }
-      co_await Park{*this};
-    }
+    while (!open_) co_await Park{*this};
   }
 
  private:
@@ -216,36 +117,15 @@ class CreditGate {
   sim::Simulator& sim_;
   bool open_ = true;
   std::deque<std::coroutine_handle<>> waiters_;
-  std::uint64_t stalls_ = 0;
 };
 
-/// Off-by-default overload protection (flash-crowd robustness). When
-/// `enabled` is false nothing below is installed anywhere: no buckets, no
-/// bounds, no limiters, no gates — trajectories are bit-identical to the
-/// pre-flow-control simulator (golden-enforced).
+/// Overload protection: admission control, one deterministic token bucket
+/// per entry node, in pages/sec. Rejected pages complete instantly with
+/// the distinct `rejected_admission` outcome. A zero rate (the default)
+/// installs nothing, so the trajectory is the unprotected one.
 struct FlowControlConfig {
-  bool enabled = false;
-
-  /// (1) Admission control: one deterministic token bucket per entry node,
-  /// in pages/sec. Rejected pages complete instantly with the distinct
-  /// `rejected_admission` outcome. Zero leaves admission off even when
-  /// flow control is otherwise enabled.
   double admission_rate = 0.0;
   double admission_burst = 10.0;
-
-  /// (2) Bounded queues with shedding.
-  QueueBound topic_queue;     // msg::Topic per-subscriber queues
-  QueueBound coalescer_lane;  // msg::Coalescer per-lane buffered items
-  QueueBound write_queue;     // degraded-mode store-and-forward queues
-
-  /// (3) Per-WAN-link byte shaping, bits/sec per directed link crossing the
-  /// WAN threshold (0 = unlimited).
-  double wan_rate_bps = 0.0;
-  Bytes wan_burst_bytes = 64 * 1024;
-
-  /// (4) Backpressure: credit gates on the topic-queue watermarks; the
-  /// facade async publish path and the coalescer flush park while closed.
-  bool backpressure = true;
 };
 
 }  // namespace mutsvc::net

@@ -21,20 +21,7 @@ sim::Task<void> Network::deliver(NodeId from, NodeId to, Bytes size) {
 
   bool crossed_wan = false;
   for (Link* link : route) {
-    const bool is_wan = link->latency >= wan_threshold_;
-    if (is_wan) crossed_wan = true;
-    // WAN shaping (flow control §3): hold the message at the link ingress
-    // until its bytes conform to the configured rate. The shaper commits
-    // state up front, so concurrent senders serialize deterministically;
-    // it draws no randomness, so the fault injector's stream is untouched.
-    if (wan_rate_bps_ > 0.0 && is_wan) {
-      const sim::Duration hold = wan_limiter(*link).reserve(sim_.now(), size);
-      if (hold > sim::Duration::zero()) {
-        ++wan_throttled_;
-        wan_throttle_micros_ += hold.count_micros();
-        co_await sim_.wait(hold);
-      }
-    }
+    if (link->latency >= wan_threshold_) crossed_wan = true;
     // Decide loss up front so the draw order is independent of queueing,
     // but surface it only after the would-be transmission time has passed:
     // a lost message still occupied the serializer and the pipe.
@@ -61,21 +48,6 @@ sim::Task<void> Network::deliver(NodeId from, NodeId to, Bytes size) {
     ++wan_messages_;
     wan_bytes_ += size;
   }
-}
-
-void Network::set_wan_rate_limit(double rate_bps, Bytes burst_bytes) {
-  wan_rate_bps_ = rate_bps;
-  wan_burst_bytes_ = burst_bytes;
-  wan_limiters_.clear();
-}
-
-RateLimiter& Network::wan_limiter(const Link& link) {
-  const auto key = std::make_pair(link.from.value(), link.to.value());
-  auto it = wan_limiters_.find(key);
-  if (it == wan_limiters_.end()) {
-    it = wan_limiters_.emplace(key, RateLimiter{wan_rate_bps_, wan_burst_bytes_}).first;
-  }
-  return it->second;
 }
 
 }  // namespace mutsvc::net

@@ -1,11 +1,9 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <utility>
 #include <vector>
 
-#include "net/flowcontrol.hpp"
 #include "net/topology.hpp"
 #include "net/types.hpp"
 #include "sim/simulator.hpp"
@@ -72,38 +70,18 @@ class Network {
   }
 
   /// A link is "WAN" if its propagation latency passes this threshold;
-  /// used for accounting (tests assert WAN-crossing counts per page), for
-  /// selecting which links the WAN rate limit applies to, and as the
-  /// lookahead-domain boundary.
+  /// used for accounting (tests assert WAN-crossing counts per page) and as
+  /// the lookahead-domain boundary.
   void set_wan_threshold(sim::Duration d) { wan_threshold_ = d; }
   [[nodiscard]] sim::Duration wan_threshold() const { return wan_threshold_; }
 
-  /// Installs a per-directed-WAN-link byte shaper (flow control §3):
-  /// messages entering a WAN link beyond `rate_bps` (burst allowance
-  /// `burst_bytes`) are delayed to the conforming rate before they reach
-  /// the link serializer. Limiters are created lazily per link, keyed by
-  /// (from, to) — deterministic regardless of traversal order.
-  void set_wan_rate_limit(double rate_bps, Bytes burst_bytes);
-
-  [[nodiscard]] std::uint64_t wan_throttled() const { return wan_throttled_; }
-  [[nodiscard]] sim::Duration wan_throttle_time() const {
-    return sim::Duration::micros(wan_throttle_micros_);
-  }
-
  private:
-  [[nodiscard]] RateLimiter& wan_limiter(const Link& link);
-
   sim::Simulator& sim_;
   Topology& topo_;
   sim::Duration per_hop_overhead_;
   sim::Duration wan_threshold_ = sim::ms(10);
   FaultInjector* faults_ = nullptr;
-  double wan_rate_bps_ = 0.0;  // 0 = no WAN shaping (the default)
-  Bytes wan_burst_bytes_ = 0;
-  std::map<std::pair<std::uint32_t, std::uint32_t>, RateLimiter> wan_limiters_;
   std::vector<sim::Simulator::DomainId> domain_of_node_;  // empty = untagged
-  std::uint64_t wan_throttled_ = 0;
-  std::int64_t wan_throttle_micros_ = 0;
   std::uint64_t messages_ = 0;
   std::uint64_t wan_messages_ = 0;
   std::uint64_t messages_lost_ = 0;

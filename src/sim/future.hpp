@@ -150,28 +150,4 @@ namespace detail {
   if (first != nullptr) std::rethrow_exception(first);
 }
 
-/// Event-style future with no payload.
-class Signal {
- public:
-  explicit Signal(Simulator& sim) : promise_(sim) {}
-
-  void fire() {
-    if (!promise_.fulfilled()) promise_.set_value(detail::Unit{});
-  }
-  [[nodiscard]] bool fired() const { return promise_.fulfilled(); }
-
-  [[nodiscard]] auto wait() {
-    struct Awaiter {
-      Future<detail::Unit> f;
-      bool await_ready() { return f.await_ready(); }
-      void await_suspend(std::coroutine_handle<> h) { f.await_suspend(h); }
-      void await_resume() { (void)f.await_resume(); }
-    };
-    return Awaiter{promise_.future()};
-  }
-
- private:
-  Promise<detail::Unit> promise_;
-};
-
 }  // namespace mutsvc::sim

@@ -1,8 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
-#include <random>
 #include <vector>
 
 #include "cache/consistency.hpp"
@@ -354,128 +352,6 @@ TEST(UpdateBatchTest, EmptyAndWireBytes) {
   net::Bytes delta = b.wire_bytes(true);
   EXPECT_GT(full, 0);
   EXPECT_LT(delta, full);  // §4.3: transfer only modified fields
-}
-
-// --- merge_into: the coalescing merge ---------------------------------------
-
-TEST(MergeIntoTest, NewerVersionWinsRegardlessOfArrivalOrder) {
-  // Version-LWW, not call-order-LWW: merging {v2 then v1} and {v1 then v2}
-  // both leave v2 — the property that makes coalescing safe under the
-  // reordering the async tier can produce.
-  UpdateBatch newer_first;
-  newer_first.entities.push_back(EntityUpdate{"Item", 1, row(1, 2.0), 2});
-  merge_into(newer_first, UpdateBatch{{EntityUpdate{"Item", 1, row(1, 1.0), 1}}, {}});
-
-  UpdateBatch older_first;
-  older_first.entities.push_back(EntityUpdate{"Item", 1, row(1, 1.0), 1});
-  merge_into(older_first, UpdateBatch{{EntityUpdate{"Item", 1, row(1, 2.0), 2}}, {}});
-
-  for (const UpdateBatch* b : {&newer_first, &older_first}) {
-    ASSERT_EQ(b->entities.size(), 1u);
-    EXPECT_EQ(b->entities[0].version, 2u);
-    EXPECT_DOUBLE_EQ(db::as_real(b->entities[0].row[1]), 2.0);
-  }
-}
-
-TEST(MergeIntoTest, EqualVersionsKeepIncoming) {
-  // Ties carry identical state (versions are allocated per key), so either
-  // choice is correct; the incoming entry wins to match apply_push's
-  // "equal version reapplies" rule.
-  UpdateBatch into;
-  into.queries.push_back(QueryRefresh{"k", {row(1, 1.0)}, 3, false});
-  merge_into(into, UpdateBatch{{}, {QueryRefresh{"k", {row(1, 1.0), row(2, 2.0)}, 3, false}}});
-  ASSERT_EQ(into.queries.size(), 1u);
-  EXPECT_EQ(into.queries[0].rows.size(), 2u);
-}
-
-TEST(MergeIntoTest, DisjointKeysAllSurvive) {
-  // No final state is dropped: entries for different (entity, pk) or
-  // cache_key never collapse into each other.
-  UpdateBatch into;
-  into.entities.push_back(EntityUpdate{"Item", 1, row(1, 1.0), 1});
-  into.queries.push_back(QueryRefresh{"q1", {}, 1, true});
-  UpdateBatch from;
-  from.entities.push_back(EntityUpdate{"Item", 2, row(2, 2.0), 1});
-  from.entities.push_back(EntityUpdate{"Inventory", 1, row(1, 7.0), 4});
-  from.queries.push_back(QueryRefresh{"q2", {row(5, 5.0)}, 2, false});
-  merge_into(into, std::move(from));
-  EXPECT_EQ(into.entities.size(), 3u);
-  EXPECT_EQ(into.queries.size(), 2u);
-}
-
-TEST(MergeIntoTest, CoalescedDeliveryEqualsIndividualDeliveryUnderReordering) {
-  // The end-to-end guarantee, at unit scale: a random write history applied
-  // to one replica as individual out-of-order pushes and to another as
-  // out-of-order *coalesced* batches converges to the same final state —
-  // the per-key newest version — because merge_into and apply_push are both
-  // version-monotonic. Coalescing can only reduce deliveries, never change
-  // the outcome.
-  std::mt19937_64 rng{0xC0A1ULL};  // simlint:allow(raw-random) fixed-seed test data
-  std::vector<EntityUpdate> history;
-  std::uint64_t version = 0;
-  for (int i = 0; i < 200; ++i) {
-    const std::int64_t pk = 1 + static_cast<std::int64_t>(rng() % 10);
-    history.push_back(
-        EntityUpdate{"Item", pk, row(pk, static_cast<double>(i)), ++version});
-  }
-
-  // Replica A: every push individually, shuffled.
-  std::vector<EntityUpdate> individual = history;
-  std::shuffle(individual.begin(), individual.end(), rng);
-  ReadOnlyCache a{"Item"};
-  for (const EntityUpdate& e : individual) a.apply_push(e.pk, e.row, e.version);
-
-  // Replica B: history chopped into batches, each batch internally merged
-  // (what the Coalescer's lanes do), batches delivered shuffled.
-  std::vector<UpdateBatch> batches;
-  for (std::size_t i = 0; i < history.size();) {
-    UpdateBatch b;
-    const std::size_t n = 1 + rng() % 8;
-    for (std::size_t j = 0; j < n && i < history.size(); ++j, ++i) {
-      merge_into(b, UpdateBatch{{history[i]}, {}});
-    }
-    batches.push_back(std::move(b));
-  }
-  std::shuffle(batches.begin(), batches.end(), rng);
-  ReadOnlyCache b{"Item"};
-  for (const UpdateBatch& batch : batches) {
-    for (const EntityUpdate& e : batch.entities) b.apply_push(e.pk, e.row, e.version);
-  }
-
-  // Expected final state: per-pk newest version from the history.
-  std::map<std::int64_t, EntityUpdate> want;
-  for (const EntityUpdate& e : history) {
-    auto [it, fresh] = want.try_emplace(e.pk, e);
-    if (!fresh && e.version > it->second.version) it->second = e;
-  }
-  for (const auto& [pk, e] : want) {
-    auto ea = a.get(pk);
-    auto eb = b.get(pk);
-    ASSERT_NE(ea, nullptr);
-    ASSERT_NE(eb, nullptr);
-    EXPECT_EQ(ea->version, e.version) << "pk " << pk;
-    EXPECT_EQ(eb->version, e.version) << "pk " << pk;
-    EXPECT_EQ(ea->row, e.row) << "pk " << pk;
-    EXPECT_EQ(eb->row, e.row) << "pk " << pk;
-  }
-}
-
-TEST(MergeIntoTest, QueryRefreshMergeNeverRollsBackAQueryCache) {
-  // Same property for the query-cache half of a batch, including
-  // invalidation-only refreshes: the merged batch applied after a newer
-  // direct push leaves the newer rows in place.
-  QueryCache qc;
-  qc.apply_push("k", {row(1, 9.0)}, 5);
-  UpdateBatch lagging;
-  lagging.queries.push_back(QueryRefresh{"k", {row(1, 1.0)}, 2, false});
-  merge_into(lagging, UpdateBatch{{}, {QueryRefresh{"k", {}, 3, true}}});
-  ASSERT_EQ(lagging.queries.size(), 1u);
-  EXPECT_EQ(lagging.queries[0].version, 3u);  // merge kept the newer refresh
-  qc.apply_push("k", lagging.queries[0].rows, lagging.queries[0].version);
-  auto entry = qc.get("k");
-  ASSERT_NE(entry, nullptr);
-  EXPECT_EQ(entry->version, 5u);  // replica rejected the whole lagging batch
-  EXPECT_EQ(qc.stale_pushes_rejected(), 1u);
 }
 
 TEST(UpdateBatchTest, InvalidationOnlyQueriesAreSmall) {

@@ -147,6 +147,42 @@ TEST(TopicTest, CountersAndQuiescence) {
   EXPECT_TRUE(topic.quiescent());
 }
 
+// A subscriber added mid-stream must not make quiescent() permanently
+// false: expected deliveries are tracked per subscriber from its subscribe
+// time, so the late subscriber owes nothing for the history it missed.
+TEST(TopicTest, LateSubscriberDoesNotBreakQuiescence) {
+  TopicWorld w;
+  Topic<int> topic{w.net, w.main, "updates", Duration::zero()};
+  std::vector<int> early;
+  std::vector<int> late;
+  auto sink = [](std::vector<int>& got) {
+    return [&got](const int& v) -> Task<void> {
+      got.push_back(v);
+      co_return;
+    };
+  };
+  auto publish = [](Topic<int>& t, net::NodeId from, int first, int n) -> Task<void> {
+    for (int i = first; i < first + n; ++i) co_await t.publish(from, i, 64);
+  };
+  topic.subscribe(w.edge1, sink(early));
+
+  w.sim.spawn(publish(topic, w.main, 0, 5));
+  w.sim.run_until();
+  ASSERT_TRUE(topic.quiescent());
+
+  topic.subscribe(w.edge2, sink(late));
+  EXPECT_TRUE(topic.quiescent()) << "a fresh subscriber expects nothing";
+
+  w.sim.spawn(publish(topic, w.main, 5, 3));
+  w.sim.run_until();
+  EXPECT_TRUE(topic.quiescent());
+  EXPECT_EQ(early, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+  EXPECT_EQ(late, (std::vector<int>{5, 6, 7})) << "only messages published after subscribing";
+  EXPECT_EQ(topic.expected_deliveries(), 11u);
+  EXPECT_EQ(topic.delivered(), 11u);
+  EXPECT_EQ(topic.pending(), 0u);
+}
+
 TEST(TopicTest, NoSubscribersIsFine) {
   TopicWorld w;
   Topic<int> topic{w.net, w.main, "updates"};

@@ -1,24 +1,24 @@
-// End-to-end overload-protection battery (ISSUE 6): admission control,
-// bounded queues, WAN shaping and backpressure wired through the full
-// experiment harness. Asserts the conservation identities
+// End-to-end overload-protection battery: per-entry-node admission control
+// wired through the full experiment harness. Asserts the conservation
+// identities
 //   pages_started == requests_admitted + rejected_admission
 //   issued == samples + failures + rejections + discarded + in_flight
-// across the config ladder × overflow policies × fault plans, that kBounce
-// rides the page-retry machinery, that a disabled (and a merely-enabled)
-// flow config leaves the trajectory bit-identical, and that flow-enabled
-// runs are deterministic.
+// and per update topic expected == delivered + pending, across the config
+// ladder with and without message loss; that admission-controlled runs are
+// deterministic; and that a malformed admission config is refused when the
+// experiment is built.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
+#include <stdexcept>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "apps/petstore/petstore.hpp"
 #include "apps/rubis/rubis.hpp"
 #include "core/calibration.hpp"
 #include "core/experiment.hpp"
-#include "net/flowcontrol.hpp"
 #include "sim/simulator.hpp"
 #include "workload/arrivals.hpp"
 
@@ -28,7 +28,6 @@ namespace {
 using core::ConfigLevel;
 using core::Experiment;
 using core::ExperimentSpec;
-using net::OverflowPolicy;
 
 // Open-loop load is Poisson session arrivals (the FSM engine's arrival
 // layer) at a page-rate equivalent: page rate / mean pages per session.
@@ -40,10 +39,6 @@ void open_loop(ExperimentSpec& spec, double pages_per_sec, double pages_per_sess
   spec.fsm_load.enabled = true;
   spec.fsm_load.arrivals = workload::RateEnvelope::constant(pages_per_sec / pages_per_session);
 }
-
-// Bounced queue overflows must ride the existing transient-failure paths.
-static_assert(std::is_base_of_v<net::NetError, net::OverloadError>,
-              "OverloadError must be retryable as a NetError");
 
 void assert_conservation(Experiment& exp, const std::string& tag) {
   const auto& r = exp.results();
@@ -71,7 +66,6 @@ TEST(AdmissionTest, TokenBucketRejectsExcessLoadExactly) {
   spec.duration = sim::sec(120);
   spec.warmup = sim::sec(20);
   open_loop(spec, 30.0, kPetStorePagesPerSession);  // 10/s per entry node
-  spec.flow.enabled = true;
   spec.flow.admission_rate = 4.0;  // well under the offered 10/s per entry
   spec.flow.admission_burst = 5.0;
   Experiment exp{app.driver(), spec, core::petstore_calibration()};
@@ -94,7 +88,6 @@ TEST(AdmissionTest, UnderOfferedLoadNothingIsRejected) {
   spec.duration = sim::sec(90);
   spec.warmup = sim::sec(15);
   spec.total_request_rate = 12.0;  // 4/s per entry node
-  spec.flow.enabled = true;
   spec.flow.admission_rate = 50.0;  // far above the offer
   Experiment exp{app.driver(), spec, core::petstore_calibration()};
   exp.run();
@@ -103,7 +96,50 @@ TEST(AdmissionTest, UnderOfferedLoadNothingIsRejected) {
   assert_conservation(exp, "under-load");
 }
 
-// --- Zero-diff when disabled -------------------------------------------------
+// The std::invalid_argument message building an experiment from `flow`
+// throws, or "" when it builds. Nothing is run: the token buckets are built
+// lazily inside the first page's coroutine, where a malformed config would
+// abort the process instead of throwing to the caller.
+std::string refusal(const net::FlowControlConfig& flow) {
+  apps::petstore::PetStoreApp app;
+  ExperimentSpec spec;
+  spec.level = ConfigLevel::kRemoteFacade;
+  spec.flow = flow;
+  try {
+    Experiment exp{app.driver(), spec, core::petstore_calibration()};
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(AdmissionTest, MalformedConfigIsRefusedAtConstruction) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  // The message names both fields and says which rule the pair breaks.
+  auto expect_refused = [](net::FlowControlConfig flow, const std::string& rule) {
+    const std::string why = refusal(flow);
+    EXPECT_NE(why.find("flow.admission_rate"), std::string::npos) << why;
+    EXPECT_NE(why.find("flow.admission_burst"), std::string::npos) << why;
+    EXPECT_NE(why.find(rule), std::string::npos)
+        << "rate " << flow.admission_rate << ", burst " << flow.admission_burst << ": " << why;
+  };
+  for (double rate : {-1.0, nan, inf}) {
+    expect_refused({.admission_rate = rate, .admission_burst = 10.0}, "rate must be");
+  }
+  for (double burst : {0.5, 0.0, -3.0, nan, inf}) {
+    expect_refused({.admission_rate = 4.0, .admission_burst = burst}, "burst must be");
+  }
+  // Finite pairs whose microsecond increment or tolerance overflows int64.
+  expect_refused({.admission_rate = 1e-13, .admission_burst = 1.0}, "fit the microsecond clock");
+  expect_refused({.admission_rate = 10.0, .admission_burst = 1e15}, "fit the microsecond clock");
+  // Well-formed configs build: a burst of exactly 1, and any burst while a
+  // zero rate leaves admission off.
+  EXPECT_EQ(refusal({.admission_rate = 4.0, .admission_burst = 1.0}), "");
+  EXPECT_EQ(refusal({.admission_rate = 0.0, .admission_burst = 0.5}), "");
+}
+
+// --- Determinism -------------------------------------------------------------
 
 struct RunDigest {
   std::uint64_t issued, samples, failures, rejections, discarded, dropped;
@@ -126,28 +162,6 @@ RunDigest run_digest(const ExperimentSpec& spec) {
                    r.pattern_mean_ms("Browser", stats::ClientGroup::kRemote)};
 }
 
-TEST(ZeroDiffTest, EnabledButUnconfiguredFlowIsByteIdenticalToDisabled) {
-  // `enabled = true` with every knob at its default (no admission rate, no
-  // bounds, no WAN limit) must not perturb the trajectory at all: every
-  // flow-control branch is dead, credit gates never close, and the only
-  // code that runs is capacity==0 checks.
-  ExperimentSpec spec;
-  spec.level = ConfigLevel::kAsyncUpdates;
-  spec.duration = sim::sec(120);
-  spec.warmup = sim::sec(20);
-  spec.seed = 1234;
-  const RunDigest off = run_digest(spec);
-  spec.flow.enabled = true;
-  const RunDigest on = run_digest(spec);
-  EXPECT_EQ(off.issued, on.issued);
-  EXPECT_EQ(off.samples, on.samples);
-  EXPECT_EQ(off.dropped, on.dropped);
-  // Exact double equality: identical trajectories produce identical sums.
-  EXPECT_EQ(off.local_mean, on.local_mean);
-  EXPECT_EQ(off.remote_mean, on.remote_mean);
-  EXPECT_TRUE(off == on);
-}
-
 TEST(ZeroDiffTest, FlowEnabledRunIsDeterministic) {
   ExperimentSpec spec;
   spec.level = ConfigLevel::kAsyncUpdates;
@@ -155,30 +169,24 @@ TEST(ZeroDiffTest, FlowEnabledRunIsDeterministic) {
   spec.warmup = sim::sec(20);
   spec.seed = 99;
   open_loop(spec, 45.0, kPetStorePagesPerSession);
-  spec.flow.enabled = true;
   spec.flow.admission_rate = 8.0;
-  spec.flow.topic_queue.capacity = 8;
-  spec.flow.topic_queue.policy = OverflowPolicy::kLocalOverflow;
-  spec.flow.wan_rate_bps = 2e6;
   const RunDigest a = run_digest(spec);
   const RunDigest b = run_digest(spec);
   EXPECT_TRUE(a == b) << "same spec, same seed -> bit-identical results";
 }
 
-// --- Bounded queues × policies × faults across the ladder --------------------
+// --- Admission × faults across the ladder ------------------------------------
 
 struct OverloadCase {
   const char* name;
   ConfigLevel level;
-  OverflowPolicy policy;
-  double loss_prob;  // stochastic message loss (PR 2 fault machinery)
+  double loss_prob;  // stochastic message loss (the fault injector)
 };
 
 const OverloadCase kCases[] = {
-    {"facade_drop", ConfigLevel::kRemoteFacade, OverflowPolicy::kDrop, 0.0},
-    {"async_drop_lossy", ConfigLevel::kAsyncUpdates, OverflowPolicy::kDrop, 0.01},
-    {"async_bounce", ConfigLevel::kAsyncUpdates, OverflowPolicy::kBounce, 0.0},
-    {"async_spill_lossy", ConfigLevel::kAsyncUpdates, OverflowPolicy::kLocalOverflow, 0.01},
+    {"facade", ConfigLevel::kRemoteFacade, 0.0},
+    {"async", ConfigLevel::kAsyncUpdates, 0.0},
+    {"async_lossy", ConfigLevel::kAsyncUpdates, 0.01},
 };
 
 // gtest would otherwise print the struct as a byte dump of its pointers,
@@ -199,12 +207,7 @@ TEST_P(OverloadLadder, ConservationHoldsUnderPressureAndFaults) {
   spec.warmup = sim::sec(20);
   spec.seed = 4242;
   open_loop(spec, 60.0, kRubisPagesPerSession);  // ~2x the calibrated capacity
-  spec.flow.enabled = true;
   spec.flow.admission_rate = 12.0;
-  spec.flow.topic_queue.capacity = 4;
-  spec.flow.topic_queue.policy = c.policy;
-  spec.flow.write_queue.capacity = 16;
-  spec.flow.write_queue.policy = OverflowPolicy::kDrop;
   if (c.loss_prob > 0.0) {
     spec.fault_plan.loss_prob = c.loss_prob;
     spec.resilience.enabled = true;
@@ -216,119 +219,25 @@ TEST_P(OverloadLadder, ConservationHoldsUnderPressureAndFaults) {
   assert_conservation(exp, c.name);
   EXPECT_GT(exp.rejected_admission(), 0u) << c.name << ": 2x overload must trip admission";
 
-  // Per-topic conservation: every fan-out copy is delivered, shed, or
-  // still pending at the cut-off — by construction and by counter.
+  // Per-topic conservation: every accepted message is addressed to every
+  // subscriber, and every fan-out copy is delivered or still pending at the
+  // cut-off.
   comp::Runtime& rt = exp.runtime();
-  std::uint64_t expected = 0, delivered = 0, shed = 0, pending = 0;
+  std::uint64_t expected = 0, delivered = 0, pending = 0;
   for (std::size_t s = 0; s < rt.update_topic_count(); ++s) {
     auto* t = rt.update_topic(s);
+    EXPECT_EQ(t->expected_deliveries(), t->published() * t->subscriber_count()) << c.name;
     expected += t->expected_deliveries();
     delivered += t->delivered();
-    shed += t->shed();
     pending += t->pending();
-    EXPECT_EQ(t->publish_attempts(), t->published() + t->bounced()) << c.name;
   }
-  EXPECT_EQ(expected, delivered + shed + pending) << c.name;
-  if (c.policy == OverflowPolicy::kBounce) {
-    EXPECT_EQ(rt.topic_shed(), 0u) << "bounce never sheds accepted messages";
-  }
+  EXPECT_EQ(expected, delivered + pending) << c.name;
 }
 
-INSTANTIATE_TEST_SUITE_P(Policies, OverloadLadder, ::testing::ValuesIn(kCases),
+INSTANTIATE_TEST_SUITE_P(Ladder, OverloadLadder, ::testing::ValuesIn(kCases),
                          [](const ::testing::TestParamInfo<OverloadCase>& info) {
                            return std::string{info.param.name};
                          });
-
-// --- kBounce consumes the page-retry budget ----------------------------------
-
-TEST(BouncePolicyTest, BouncedPublishesConsumeWholePageRetries) {
-  // Tiny topic capacity under heavy writes: publishes bounce out of the
-  // façade as OverloadError, which the client treats like any transient
-  // network fault — bounded whole-page retries, then a recorded failure.
-  // The run must terminate (bounded retries) and conserve every request.
-  apps::rubis::RubisApp app;
-  ExperimentSpec spec;
-  spec.level = ConfigLevel::kAsyncUpdates;
-  spec.duration = sim::sec(120);
-  spec.warmup = sim::sec(20);
-  spec.seed = 77;
-  // Heavy enough that the capacity-1 queue is full across a whole page's
-  // retry schedule (RMI-level retries cushion each attempt, so a marginal
-  // overload lets every page through eventually).
-  open_loop(spec, 240.0, kRubisPagesPerSession);
-  spec.resilience.enabled = true;  // grants http_retries whole-page retries
-  spec.resilience.http_retries = 2;
-  spec.flow.enabled = true;
-  spec.flow.topic_queue.capacity = 1;
-  spec.flow.topic_queue.policy = OverflowPolicy::kBounce;
-  // Backpressure would park writers at the credit gate before they ever see
-  // a full queue; turn it off so the bounce policy itself is exercised.
-  spec.flow.backpressure = false;
-  Experiment exp{app.driver(), spec, core::rubis_calibration()};
-  exp.run();
-
-  assert_conservation(exp, "bounce-retries");
-  EXPECT_GT(exp.runtime().topic_bounced(), 0u) << "capacity 1 must bounce under 2x load";
-  // Some pages exhausted their retry budget on repeated bounces.
-  EXPECT_GT(exp.dropped_requests(), 0u);
-  EXPECT_GT(exp.results().failures(), 0u);
-}
-
-// --- WAN rate limiting -------------------------------------------------------
-
-TEST(WanRateLimitTest, ShapingThrottlesWanTrafficAndSlowsRemotes) {
-  apps::petstore::PetStoreApp app;
-  ExperimentSpec spec;
-  spec.level = ConfigLevel::kCentralized;  // remote pages cross the WAN
-  spec.duration = sim::sec(100);
-  spec.warmup = sim::sec(20);
-  spec.seed = 5;
-
-  Experiment free{app.driver(), spec, core::petstore_calibration()};
-  free.run();
-  EXPECT_EQ(free.network().wan_throttled(), 0u) << "no limit installed";
-  const double free_remote =
-      free.results().pattern_mean_ms("Browser", stats::ClientGroup::kRemote);
-
-  spec.flow.enabled = true;
-  spec.flow.wan_rate_bps = 256e3;  // 256 kbit/s chokes the page bodies
-  spec.flow.wan_burst_bytes = 4 * 1024;
-  Experiment shaped{app.driver(), spec, core::petstore_calibration()};
-  shaped.run();
-  EXPECT_GT(shaped.network().wan_throttled(), 0u);
-  EXPECT_GT(shaped.network().wan_throttle_time(), sim::Duration::zero());
-  const double shaped_remote =
-      shaped.results().pattern_mean_ms("Browser", stats::ClientGroup::kRemote);
-  EXPECT_GT(shaped_remote, free_remote) << "shaped WAN must slow remote pages";
-  assert_conservation(shaped, "wan-shaped");
-}
-
-// --- Backpressure ------------------------------------------------------------
-
-TEST(BackpressureTest, CreditGatesEngageUnderUpdatePressure) {
-  apps::rubis::RubisApp app;
-  ExperimentSpec spec;
-  spec.level = ConfigLevel::kAsyncUpdates;
-  spec.duration = sim::sec(120);
-  spec.warmup = sim::sec(20);
-  spec.seed = 11;
-  open_loop(spec, 60.0, kRubisPagesPerSession);
-  spec.flow.enabled = true;
-  spec.flow.backpressure = true;
-  spec.flow.topic_queue.capacity = 2;
-  spec.flow.topic_queue.policy = OverflowPolicy::kLocalOverflow;
-  Experiment exp{app.driver(), spec, core::rubis_calibration()};
-  exp.run();
-
-  assert_conservation(exp, "backpressure");
-  // Under 2x load with capacity 2 the protection must engage somewhere:
-  // writers stall on credit, or arrivals divert into spill.
-  const std::uint64_t engaged =
-      exp.runtime().credit_stalls() + exp.runtime().topic_spilled();
-  EXPECT_GT(engaged, 0u);
-  // Spill + backpressure never terminally shed with an unbounded spill.
-  EXPECT_EQ(exp.runtime().topic_shed(), 0u);
-}
 
 }  // namespace
 }  // namespace mutsvc

@@ -3,13 +3,11 @@
 // fills, and the TACT-style staleness bound.
 #include <gtest/gtest.h>
 
-#include <map>
 
 #include "apps/petstore/petstore.hpp"
 #include "apps/rubis/rubis.hpp"
 #include "cache/read_only_cache.hpp"
 #include "cache/update.hpp"
-#include "messaging/coalescer.hpp"
 #include "component/kind.hpp"
 #include "component/runtime.hpp"
 #include "core/calibration.hpp"
@@ -633,131 +631,33 @@ TEST(FaultPlanTest, IdenticalSeedsProduceIdenticalRuns) {
   EXPECT_DOUBLE_EQ(a.remote_browser_ms, b.remote_browser_ms);
 }
 
-// --- coalescing × version-monotonic pushes -----------------------------------
+// --- sharded async updates under loss ----------------------------------------
 
-TEST(CoalescingFaultTest, PartitionNeverRollsReplicaBackOrDropsFinalState) {
-  // A Coalescer feeding a JMS topic whose subscriber is partitioned
-  // mid-stream: batches pile up and merge while redelivery retries, and
-  // once the partition heals the replica must hold every key's newest
-  // version, having only ever moved forward (PR-5's version-monotonic
-  // apply_push composed with the version-LWW merge).
-  FailWorld w;
-  msg::Topic<cache::UpdateBatch> topic{w.net, w.a, "updates", Duration::zero()};
-  topic.set_retry_interval(ms(100));
-
-  cache::ReadOnlyCache replica{"Item"};
-  std::map<std::int64_t, std::uint64_t> applied_floor;  // monotonicity watch
-  bool rolled_back = false;
-  topic.subscribe(w.b, [&](const cache::UpdateBatch& batch) -> Task<void> {
-    for (const cache::EntityUpdate& e : batch.entities) {
-      replica.apply_push(e.pk, e.row, e.version);
-      const std::uint64_t now_at = replica.get(e.pk)->version;
-      if (now_at < applied_floor[e.pk]) rolled_back = true;
-      applied_floor[e.pk] = now_at;
-    }
-    co_return;
-  });
-
-  msg::Coalescer<cache::UpdateBatch> co{
-      w.sim, /*lanes=*/1, /*quantum=*/ms(50), cache::merge_into,
-      [&](std::size_t, cache::UpdateBatch merged) -> Task<void> {
-        co_await topic.publish(w.a, std::move(merged), 256);
-      }};
-
-  // 30 writes, 20ms apart, round-robin over three keys, versions 1..30.
-  std::map<std::int64_t, cache::EntityUpdate> newest;
-  w.sim.spawn([](sim::Simulator& sim, msg::Coalescer<cache::UpdateBatch>& co,
-                 std::map<std::int64_t, cache::EntityUpdate>& newest) -> Task<void> {
-    for (std::uint64_t v = 1; v <= 30; ++v) {
-      co_await sim.wait(ms(20));
-      const std::int64_t pk = 1 + static_cast<std::int64_t>(v % 3);
-      cache::EntityUpdate e{"Item", pk, db::Row{pk, static_cast<double>(v)}, v};
-      newest[pk] = e;
-      co.enqueue(0, cache::UpdateBatch{{std::move(e)}, {}});
-    }
-  }(w.sim, co, newest));
-
-  // Partition the subscriber through the middle of the write stream.
-  w.sim.schedule_after(ms(200), [&] { w.topo.set_node_state(w.b, false); });
-  w.sim.schedule_after(ms(700), [&] { w.topo.set_node_state(w.b, true); });
-  w.sim.run_until();
-
-  EXPECT_FALSE(rolled_back);
-  EXPECT_TRUE(co.idle());
-  EXPECT_TRUE(topic.quiescent());
-  EXPECT_GT(topic.delivery_retries(), 0u);
-  // Coalescing actually batched: 30 enqueues became fewer flushes, with
-  // merges absorbing the writes buffered behind the partition.
-  EXPECT_EQ(co.enqueued(), 30u);
-  EXPECT_LT(co.flushes(), co.enqueued());
-  EXPECT_GT(co.merges(), 0u);
-  // No dropped final state: the replica holds each key's newest version.
-  for (const auto& [pk, e] : newest) {
-    auto entry = replica.get(pk);
-    ASSERT_NE(entry, nullptr) << "pk " << pk;
-    EXPECT_EQ(entry->version, e.version) << "pk " << pk;
-    EXPECT_EQ(entry->row, e.row) << "pk " << pk;
-  }
-}
-
-TEST(CoalescingFaultTest, FailedFlushRemergesAndRedeliversNewestState) {
-  // A flush that throws (lost message surfacing as a delivery error) must
-  // re-merge its batch with anything enqueued meanwhile — the retried
-  // flush carries the *newest* per-key state and nothing is lost.
-  sim::Simulator sim{1};
-  int failures_to_inject = 2;
-  std::map<std::int64_t, cache::EntityUpdate> delivered;
-  msg::Coalescer<cache::UpdateBatch> co{
-      sim, /*lanes=*/1, /*quantum=*/ms(10), cache::merge_into,
-      [&](std::size_t, cache::UpdateBatch merged) -> Task<void> {
-        if (failures_to_inject > 0) {
-          --failures_to_inject;
-          throw net::NetError{"injected flush loss"};
-        }
-        for (const cache::EntityUpdate& e : merged.entities) delivered[e.pk] = e;
-        co_return;
-      }};
-
-  sim.spawn([](sim::Simulator& sim, msg::Coalescer<cache::UpdateBatch>& co) -> Task<void> {
-    for (std::uint64_t v = 1; v <= 6; ++v) {
-      cache::EntityUpdate e{"Item", 1, db::Row{std::int64_t{1}, static_cast<double>(v)}, v};
-      co.enqueue(0, cache::UpdateBatch{{std::move(e)}, {}});
-      co_await sim.wait(ms(7));  // straddles quantum boundaries
-    }
-  }(sim, co));
-  sim.run_until();
-
-  EXPECT_EQ(co.flush_failures(), 2u);
-  EXPECT_TRUE(co.idle());
-  ASSERT_TRUE(delivered.contains(1));
-  EXPECT_EQ(delivered[1].version, 6u);  // final state survived both losses
-  EXPECT_DOUBLE_EQ(db::as_real(delivered[1].row[1]), 6.0);
-}
-
-TEST(CoalescingFaultTest, ShardedCoalescedRunConvergesEdgeReplicasUnderLoss) {
-  // End to end: async updates + 3 shards + 20ms coalescing under 2% message
-  // loss with the resilience layer on. After the run drains, every edge
-  // replica entry must equal the master database's row — coalescing plus
-  // loss plus redelivery dropped no final state and rolled nothing back.
+TEST(ShardFaultTest, ShardedAsyncRunConvergesEdgeReplicasUnderLoss) {
+  // End to end: async updates on 3 shard topics under 2% message loss with
+  // the resilience layer on. After the run drains, every edge replica entry
+  // must equal the master database's row — per-shard publishing plus loss
+  // plus redelivery dropped no final state and rolled nothing back.
   apps::petstore::PetStoreApp app;
   core::ExperimentSpec spec;
   spec.level = core::ConfigLevel::kAsyncUpdates;
   spec.shard.shards = 3;
-  spec.shard.coalesce_quantum = ms(20);
   spec.duration = sec(300);
   spec.warmup = sec(60);
   spec.fault_plan.loss_prob = 0.02;
   spec.resilience.enabled = true;
   core::Experiment exp{app.driver(), spec, core::petstore_calibration()};
   exp.run();
-  // run() stops at the load end; give in-flight coalesced batches and JMS
-  // redeliveries time to drain before checking convergence.
+  // run() stops at the load end; give in-flight JMS redeliveries time to
+  // drain before checking convergence.
   (void)exp.simulator().run_until(sim::SimTime::origin() + spec.duration + sec(60));
 
   EXPECT_TRUE(exp.runtime().updates_quiescent());
-  ASSERT_NE(exp.runtime().coalescer(), nullptr);
-  EXPECT_GT(exp.runtime().coalescer()->flushes(), 0u);
-  EXPECT_LE(exp.runtime().coalescer()->flushes(), exp.runtime().coalescer()->enqueued());
+  // Every shard lane carried traffic: the writes spread over the topics.
+  ASSERT_EQ(exp.runtime().update_topic_count(), 3u);
+  for (std::size_t s = 0; s < 3; ++s) {
+    EXPECT_GT(exp.runtime().update_topic(s)->published(), 0u) << "shard " << s;
+  }
   EXPECT_GT(exp.network().messages_lost(), 0u);
   EXPECT_GT(exp.results().success_fraction(), 0.99);
 

@@ -4,7 +4,7 @@
 // row is served by exactly one shard and fan-out slices account for every
 // row and byte exactly once — and (3) the harness conserves requests
 // (issued == samples + failures + discarded) across the whole config
-// ladder × shard counts × coalescing.
+// ladder × shard counts.
 //
 // Test inputs come from fixed-seed host-side generators (never sim-time
 // randomness): simlint:allow-file(raw-random)
@@ -259,16 +259,14 @@ struct ConservationCase {
   const char* name;
   core::ConfigLevel level;
   std::size_t shards;
-  double coalesce_ms;  // 0 = per-transaction publishes (the paper's mode)
 };
 
 const ConservationCase kLadder[] = {
-    {"centralized_s1", core::ConfigLevel::kCentralized, 1, 0},
-    {"facade_s2", core::ConfigLevel::kRemoteFacade, 2, 0},
-    {"state_cache_s3", core::ConfigLevel::kStatefulComponentCaching, 3, 0},
-    {"query_cache_s5", core::ConfigLevel::kQueryCaching, 5, 0},
-    {"async_s8", core::ConfigLevel::kAsyncUpdates, 8, 0},
-    {"async_s4_coalesced", core::ConfigLevel::kAsyncUpdates, 4, 20.0},
+    {"centralized_s1", core::ConfigLevel::kCentralized, 1},
+    {"facade_s2", core::ConfigLevel::kRemoteFacade, 2},
+    {"state_cache_s3", core::ConfigLevel::kStatefulComponentCaching, 3},
+    {"query_cache_s5", core::ConfigLevel::kQueryCaching, 5},
+    {"async_s8", core::ConfigLevel::kAsyncUpdates, 8},
 };
 
 // gtest would otherwise print the struct as a byte dump of its pointers,
@@ -281,8 +279,8 @@ class ConservationLadder : public ::testing::TestWithParam<ConservationCase> {};
 TEST_P(ConservationLadder, IssuedEqualsCompletedPlusFailed) {
   // Every request the open-loop generator issues is counted exactly once:
   // as a post-warm-up sample, a post-warm-up failure, or a discarded
-  // warm-up observation. Sharding and coalescing must not create or lose
-  // requests anywhere on the ladder. Specs are randomized from a fixed
+  // warm-up observation. Sharding must not create or lose requests
+  // anywhere on the ladder. Specs are randomized from a fixed
   // seed so each ladder rung exercises a different (seed, rate, duration).
   // (The end-of-run rule counts requests at issue time, so the tail a
   // truncated run leaves awaiting responses shows up as in_flight.)
@@ -293,7 +291,6 @@ TEST_P(ConservationLadder, IssuedEqualsCompletedPlusFailed) {
   core::ExperimentSpec spec;
   spec.level = c.level;
   spec.shard.shards = c.shards;
-  spec.shard.coalesce_quantum = sim::Duration::millis(c.coalesce_ms);
   spec.seed = static_cast<std::uint64_t>(rng.uniform_int(1, 1 << 30));
   spec.total_request_rate = rng.uniform(18.0, 36.0);
   spec.duration = sim::Duration::seconds(rng.uniform(100.0, 140.0));
@@ -312,8 +309,7 @@ TEST_P(ConservationLadder, IssuedEqualsCompletedPlusFailed) {
   // Fault-free ladder runs complete every request.
   EXPECT_EQ(r.failures(), 0u);
   EXPECT_EQ(exp.dropped_requests(), 0u);
-  // Async rungs must drain: coalescing holds batches at most one quantum
-  // past the last write, and the run end is far past the last commit's
+  // Async rungs must drain: the run end is far past the last commit's
   // propagation window.
   if (c.level == core::ConfigLevel::kAsyncUpdates) {
     EXPECT_TRUE(exp.runtime().updates_quiescent()) << c.name;
@@ -325,13 +321,12 @@ INSTANTIATE_TEST_SUITE_P(Ladder, ConservationLadder, ::testing::ValuesIn(kLadder
                            return std::string{info.param.name};
                          });
 
-TEST(ConservationRubisTest, HoldsForRubisUnderShardsAndCoalescing) {
+TEST(ConservationRubisTest, HoldsForRubisUnderShards) {
   // Second application, harder write mix: same identity.
   apps::rubis::RubisApp app;
   core::ExperimentSpec spec;
   spec.level = core::ConfigLevel::kAsyncUpdates;
   spec.shard.shards = 3;
-  spec.shard.coalesce_quantum = sim::Duration::millis(15);
   spec.duration = sim::sec(120);
   spec.warmup = sim::sec(30);
   spec.seed = 7;

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "sim/future.hpp"
 #include "sim/resource.hpp"
 #include "sim/simulator.hpp"
 #include "sim/task.hpp"
@@ -134,19 +133,6 @@ INSTANTIATE_TEST_SUITE_P(Shapes, FifoMakespan,
                          ::testing::Values(std::make_tuple(1, 7), std::make_tuple(2, 7),
                                            std::make_tuple(2, 8), std::make_tuple(4, 13),
                                            std::make_tuple(8, 64)));
-
-TEST(FutureTest, SignalFiredBeforeWaitResumesImmediately) {
-  Simulator sim;
-  Signal sig{sim};
-  sig.fire();
-  double woke_at = -1.0;
-  sim.spawn([](Signal& s, Simulator& sim, double& at) -> Task<void> {
-    co_await s.wait();
-    at = sim.now().as_millis();
-  }(sig, sim, woke_at));
-  sim.run_until();
-  EXPECT_DOUBLE_EQ(woke_at, 0.0);
-}
 
 TEST(RngStreamTest, DeepForkChainsStayIndependent) {
   RngStream root{5};

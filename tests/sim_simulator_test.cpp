@@ -321,25 +321,6 @@ TEST(FutureTest, ExceptionDelivery) {
   EXPECT_EQ(msg, "bad");
 }
 
-TEST(SignalTest, FireWakesWaitersOnceIdempotently) {
-  Simulator sim;
-  Signal sig{sim};
-  int woke = 0;
-  for (int i = 0; i < 2; ++i) {
-    sim.spawn([](Signal& s, int& w) -> Task<void> {
-      co_await s.wait();
-      ++w;
-    }(sig, woke));
-  }
-  sim.schedule_after(ms(2), [&] {
-    sig.fire();
-    sig.fire();  // second fire is a no-op
-  });
-  sim.run_until();
-  EXPECT_EQ(woke, 2);
-  EXPECT_TRUE(sig.fired());
-}
-
 // --- resources ---------------------------------------------------------------
 
 TEST(FifoResourceTest, SingleServerSerializes) {
