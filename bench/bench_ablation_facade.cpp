@@ -69,7 +69,7 @@ int main() {
       auto heads = co_await jdbc.execute(
           db::Query::finder("product", "category_id", std::int64_t{3}));
       for (const auto& row : heads.rows) {
-        (void)co_await jdbc.execute(db::Query::pk_lookup("product", db::as_int(row[0])));
+        (void)co_await jdbc.execute(db::Query::pk_lookup("product", db::as_int((*row)[0])));
       }
     }(jdbc));
     table.add_row({"naive: WAN JDBC, n+1 loads", stats::TextTable::cell_fixed(t, 0),

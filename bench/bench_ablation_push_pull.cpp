@@ -20,7 +20,7 @@ void define_components(bench::MiniWorld& w) {
                  .cpu = sim::Duration::zero(),
                  .body = [](CallContext& ctx) -> Task<void> {
                    auto row = co_await ctx.read_entity("Item", ctx.arg_int(0));
-                   if (row) ctx.result.push_back(*row);
+                   if (row) ctx.result.push_back(std::move(row));
                  }});
   auto& writer = w.app.define("Writer", comp::ComponentKind::kStatelessSessionBean);
   writer.method({.name = "set",

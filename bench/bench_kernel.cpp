@@ -148,7 +148,7 @@ perf::Benchmark bench_indexed_finder() {
   for (std::int64_t p = 0; p < probes; ++p) {
     const db::Value key = p % groups;
     if ((p & 1) == 0) {
-      t.for_each_equal("g", key, [&](const db::Row& r) { matched += r.size(); });
+      t.for_each_equal("g", key, [&](const db::RowRef& r) { matched += r->size(); });
     } else {
       matched += t.find_equal("g", key).size();
     }
@@ -163,12 +163,14 @@ perf::Benchmark bench_indexed_finder() {
 }
 
 perf::Benchmark bench_response_hist() {
-  // About 10% over the measured 11.4 (MUTSVC_FAST: 40,844 over 3,582
-  // pages) and 10.5 (full length: 92,687 over 8,855 pages) allocations per
+  // About 10% over the measured 7.1 (MUTSVC_FAST: 25,308 over 3,582
+  // pages) and 6.3 (full length: 56,057 over 8,855 pages) allocations per
   // page, with every coroutine frame served from the per-thread frame pool
-  // (sim/frame_pool.hpp). A frame that bypasses the pool breaks it: heap
-  // frames read 39.3 per page under MUTSVC_FAST.
-  constexpr double kAllocationsPerPageCeiling = 12.5;
+  // (sim/frame_pool.hpp) and every read sharing its row versions
+  // (db::RowRef). A frame that bypasses the pool breaks it (heap frames
+  // read 39.3 per page under MUTSVC_FAST), and so would per-read row
+  // copies: with them and a heap-allocated mutex per lock it read 11.4.
+  constexpr double kAllocationsPerPageCeiling = 7.8;
 
   apps::petstore::PetStoreApp app;
   core::ExperimentSpec spec;

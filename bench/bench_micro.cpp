@@ -95,7 +95,7 @@ BENCHMARK(BM_TableIndexedFind)->Arg(1000)->Arg(10000);
 
 void BM_QueryCacheHit(benchmark::State& state) {
   cache::QueryCache qc;
-  qc.fill("k", {db::Row{std::int64_t{1}, std::int64_t{2}}}, 1);
+  qc.fill("k", {db::RowRef::make(db::Row{std::int64_t{1}, std::int64_t{2}})}, 1);
   for (auto _ : state) {
     auto entry = qc.get("k");
     benchmark::DoNotOptimize(entry);
@@ -106,7 +106,7 @@ BENCHMARK(BM_QueryCacheHit);
 
 void BM_ReadOnlyCacheHit(benchmark::State& state) {
   cache::ReadOnlyCache c{"Item"};
-  for (std::int64_t i = 0; i < 1000; ++i) c.fill(i, db::Row{i, i}, 1);
+  for (std::int64_t i = 0; i < 1000; ++i) c.fill(i, db::RowRef::make(db::Row{i, i}), 1);
   std::int64_t pk = 0;
   for (auto _ : state) {
     auto entry = c.get(pk++ % 1000);

@@ -52,8 +52,8 @@ std::uint64_t result_digest(db::Database& db) {
   for (const db::Query& q : battery) {
     const db::QueryResult res = db.execute_immediate(q);
     fnv(h, res.rows.size());
-    for (const db::Row& row : res.rows) {
-      for (const db::Value& v : row) {
+    for (const db::RowRef& row : res.rows) {
+      for (const db::Value& v : *row) {
         if (const auto* i = std::get_if<std::int64_t>(&v)) {
           fnv(h, static_cast<std::uint64_t>(*i));
         } else if (const auto* d = std::get_if<double>(&v)) {

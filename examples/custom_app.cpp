@@ -97,7 +97,7 @@ struct WikiApp {
                    .cpu = sim::us(400),
                    .body = [](CallContext& ctx) -> Task<void> {
                      auto row = co_await ctx.read_entity("Article", ctx.arg_int(0));
-                     if (row) ctx.result.push_back(*row);
+                     if (row) ctx.result.push_back(std::move(row));
                    }});
     facade.method({.name = "getRevisions",
                    .cpu = sim::us(400),

@@ -48,7 +48,7 @@ int main() {
                  .cpu = sim::us(400),
                  .body = [](CallContext& ctx) -> Task<void> {
                    auto row = co_await ctx.read_entity("Article", ctx.arg_int(0));
-                   if (row) ctx.result.push_back(*row);
+                   if (row) ctx.result.push_back(std::move(row));
                  }});
   auto& web = app.define("Web", comp::ComponentKind::kServlet);
   web.method({.name = "article",

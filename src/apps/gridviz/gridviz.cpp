@@ -49,7 +49,7 @@ void GridVizApp::define_components() {
                   .cpu = cal_.ejb_cpu,
                   .body = [](CallContext& ctx) -> Task<void> {
                     auto ds = co_await ctx.read_entity("Dataset", ctx.arg_int(0));
-                    if (ds) ctx.result.push_back(std::move(*ds));
+                    if (ds) ctx.result.push_back(std::move(ds));
                     auto probes = co_await ctx.cached_query(
                         Query::finder("probes", "dataset_id", ctx.arg(0)));
                     for (auto& r : probes.rows) ctx.result.push_back(std::move(r));
@@ -61,7 +61,7 @@ void GridVizApp::define_components() {
                  .result_bytes = cal_.frame_tile_bytes,
                  .body = [](CallContext& ctx) -> Task<void> {
                    auto frame = co_await ctx.read_entity("Frame", ctx.arg_int(0));
-                   if (frame) ctx.result.push_back(std::move(*frame));
+                   if (frame) ctx.result.push_back(std::move(frame));
                  }});
   frames.method({.name = "getScrubStrip",
                  .cpu = cal_.ejb_cpu,
@@ -131,9 +131,10 @@ void GridVizApp::define_components() {
                 .latency = latency,
                 .result_bytes = bytes,
                 .body = [callee](CallContext& ctx) -> Task<void> {
-                  std::vector<Value> args;
-                  for (std::size_t i = 0; i < ctx.arg_count(); ++i) args.push_back(ctx.arg(i));
-                  auto res = co_await ctx.call(callee, std::move(args));
+                  // The servlet's context outlives the nested call: lend it
+                  // the page's arguments.
+                  comp::CallArgs lent = comp::CallArgs::borrow(ctx.args());
+                  auto res = co_await ctx.call(callee, std::move(lent));
                   ctx.result = std::move(res.rows);
                 }});
   };
@@ -210,15 +211,15 @@ void GridVizApp::install_database(db::Database& db) const {
       "recent_readings", [](db::Database& d, const std::vector<Value>& params) {
         // Latest readings across the dataset's probes (bounded window).
         const std::int64_t dataset = db::as_int(params.at(0));
-        std::vector<Row> out;
+        std::vector<db::RowRef> out;
         const db::Table& probes = d.table("probes");
         const db::Table& readings = d.table("readings");
-        probes.for_each_equal("dataset_id", dataset, [&](const Row& probe) {
-          // Keep only the last 10 readings per probe: walk the index
-          // without copying, remembering the tail in a ring of pointers.
-          std::vector<const Row*> tail;
+        probes.for_each_equal("dataset_id", dataset, [&](const db::RowRef& probe) {
+          // Keep only the last 10 readings per probe: walk the index,
+          // remembering the tail in a ring of pointers to the handles.
+          std::vector<const db::RowRef*> tail;
           std::size_t seen = 0;
-          readings.for_each_equal("probe_id", probe[0], [&](const Row& r) {
+          readings.for_each_equal("probe_id", (*probe)[0], [&](const db::RowRef& r) {
             if (tail.size() < 10) {
               tail.push_back(&r);
             } else {

@@ -28,7 +28,8 @@ const std::array<const char*, 5> kKeywords = {"fish", "dog", "cat", "bird", "sna
 [[nodiscard]] Task<void> n_plus_1_fetch(CallContext& ctx, Query finder, const std::string& table) {
   db::QueryResult heads = co_await ctx.direct_query(std::move(finder));
   for (const auto& head : heads.rows) {
-    db::QueryResult full = co_await ctx.direct_query(Query::pk_lookup(table, db::as_int(head[0])));
+    db::QueryResult full =
+        co_await ctx.direct_query(Query::pk_lookup(table, db::as_int((*head)[0])));
     if (!full.rows.empty()) ctx.result.push_back(std::move(full.rows[0]));
   }
 }
@@ -79,8 +80,8 @@ void PetStoreApp::define_components() {
                     // Item details plus availability (Inventory), §2.2/Fig 1.
                     auto item = co_await ctx.read_entity("Item", ctx.arg_int(0));
                     auto inv = co_await ctx.read_entity("Inventory", ctx.arg_int(0));
-                    if (item) ctx.result.push_back(std::move(*item));
-                    if (inv) ctx.result.push_back(std::move(*inv));
+                    if (item) ctx.result.push_back(std::move(item));
+                    if (inv) ctx.result.push_back(std::move(inv));
                   }});
   catalog.method({.name = "search",
                   .cpu = cal_.ejb_cpu,
@@ -97,7 +98,7 @@ void PetStoreApp::define_components() {
                  .cpu = cal_.ejb_cpu,
                  .body = [](CallContext& ctx) -> Task<void> {
                    auto acct = co_await ctx.read_entity("Account", ctx.arg_int(0));
-                   if (acct) ctx.result.push_back(std::move(*acct));
+                   if (acct) ctx.result.push_back(std::move(acct));
                  }});
 
   auto& customer = app_.define("Customer", ComponentKind::kStatelessSessionBean);
@@ -105,7 +106,7 @@ void PetStoreApp::define_components() {
                    .cpu = cal_.ejb_cpu,
                    .body = [](CallContext& ctx) -> Task<void> {
                      auto acct = co_await ctx.read_entity("Account", ctx.arg_int(0));
-                     if (acct) ctx.result.push_back(std::move(*acct));
+                     if (acct) ctx.result.push_back(std::move(acct));
                    }});
 
   auto& orders = app_.define("OrderProcessor", ComponentKind::kStatelessSessionBean);

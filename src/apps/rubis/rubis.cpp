@@ -95,7 +95,7 @@ void RubisApp::define_components() {
                     .cpu = cal_.ejb_cpu,
                     .body = [](CallContext& ctx) -> Task<void> {
                       auto item = co_await ctx.read_entity("Item", ctx.arg_int(0));
-                      if (item) ctx.result.push_back(std::move(*item));
+                      if (item) ctx.result.push_back(std::move(item));
                     }});
 
   auto& view_bids = app_.define("SB_ViewBidHistory", ComponentKind::kStatelessSessionBean);
@@ -112,7 +112,7 @@ void RubisApp::define_components() {
                     .cpu = cal_.ejb_cpu,
                     .body = [](CallContext& ctx) -> Task<void> {
                       auto user = co_await ctx.read_entity("User", ctx.arg_int(0));
-                      if (user) ctx.result.push_back(std::move(*user));
+                      if (user) ctx.result.push_back(std::move(user));
                       auto comments = co_await ctx.cached_query(
                           Query::finder("comments", "to_user", ctx.arg(0)));
                       for (auto& r : comments.rows) ctx.result.push_back(std::move(r));
@@ -138,7 +138,7 @@ void RubisApp::define_components() {
                     // Verify credentials, then show current item state.
                     (void)co_await ctx.call(authenticate, ctx.arg(0));
                     auto item = co_await ctx.read_entity("Item", ctx.arg_int(1));
-                    if (item) ctx.result.push_back(std::move(*item));
+                    if (item) ctx.result.push_back(std::move(item));
                   }});
 
   auto& store_bid = app_.define("SB_StoreBid", ComponentKind::kStatelessSessionBean);
@@ -173,7 +173,7 @@ void RubisApp::define_components() {
                       .body = [authenticate](CallContext& ctx) -> Task<void> {
                         (void)co_await ctx.call(authenticate, ctx.arg(0));
                         auto user = co_await ctx.read_entity("User", ctx.arg_int(1));
-                        if (user) ctx.result.push_back(std::move(*user));
+                        if (user) ctx.result.push_back(std::move(user));
                       }});
 
   auto& store_comment = app_.define("SB_StoreComment", ComponentKind::kStatelessSessionBean);
@@ -219,9 +219,10 @@ void RubisApp::define_components() {
                 .latency = latency,
                 .result_bytes = bytes,
                 .body = [callee](CallContext& ctx) -> Task<void> {
-                  std::vector<Value> args;
-                  for (std::size_t i = 0; i < ctx.arg_count(); ++i) args.push_back(ctx.arg(i));
-                  auto res = co_await ctx.call(callee, std::move(args));
+                  // The servlet's context outlives the nested call: lend it
+                  // the page's arguments.
+                  comp::CallArgs lent = comp::CallArgs::borrow(ctx.args());
+                  auto res = co_await ctx.call(callee, std::move(lent));
                   ctx.result = std::move(res.rows);
                 }});
   };
@@ -325,11 +326,11 @@ void RubisApp::install_database(db::Database& db) const {
       "items_in_category_region", [](db::Database& d, const std::vector<Value>& params) {
         const std::int64_t category = db::as_int(params.at(0));
         const std::int64_t region = db::as_int(params.at(1));
-        std::vector<Row> out;
-        // Non-copying index walk: only the rows that survive the region
-        // filter are copied into the result.
-        d.table("items").for_each_equal("category_id", category, [&](const Row& item) {
-          auto seller = d.table("users").get(db::as_int(item[3]));
+        std::vector<db::RowRef> out;
+        // Index walk: only the rows that survive the region filter join
+        // the result, and every row stays shared.
+        d.table("items").for_each_equal("category_id", category, [&](const db::RowRef& item) {
+          const db::RowRef seller = d.table("users").get(db::as_int((*item)[3]));
           if (seller && db::as_int((*seller)[3]) == region) out.push_back(item);
         });
         return out;

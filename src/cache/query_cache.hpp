@@ -18,10 +18,12 @@ namespace mutsvc::cache {
 /// or by prefix (a write to item 7 invalidates every cached bid list for
 /// item 7 regardless of parameters). Refresh can be pull (drop, re-execute
 /// at the main server on next read) or push (the updater sends new rows).
+/// An entry holds the row versions it was filled with, so a hit copies
+/// handles, not rows.
 class QueryCache {
  public:
   struct Entry {
-    std::vector<db::Row> rows;
+    std::vector<db::RowRef> rows;
     std::uint64_t version = 0;
   };
 
@@ -41,7 +43,7 @@ class QueryCache {
 
   /// Version-monotonic, like ReadOnlyCache::fill: a pull result that raced
   /// with a concurrent push never clobbers newer state.
-  void fill(const std::string& key, std::vector<db::Row> rows, std::uint64_t version = 0) {
+  void fill(const std::string& key, std::vector<db::RowRef> rows, std::uint64_t version = 0) {
     auto it = entries_.find(key);
     if (it != entries_.end() && it->second.version > version) return;
     entries_[key] = Entry{std::move(rows), version};
@@ -50,7 +52,7 @@ class QueryCache {
   /// Version-monotonic like `fill`: a JMS push reordered or delayed (e.g.
   /// redelivered after a fault-injector loss) must never clobber newer state
   /// with older rows.
-  void apply_push(const std::string& key, std::vector<db::Row> rows, std::uint64_t version) {
+  void apply_push(const std::string& key, std::vector<db::RowRef> rows, std::uint64_t version) {
     auto it = entries_.find(key);
     if (it != entries_.end() && it->second.version > version) {
       ++stale_pushes_rejected_;

@@ -16,11 +16,13 @@ namespace mutsvc::cache {
 ///
 /// One instance exists per (edge node, entity bean) pair. Entries carry the
 /// master's version number at the time they were written, so staleness is
-/// observable (ConsistencyTracker) rather than assumed.
+/// observable (ConsistencyTracker) rather than assumed. An entry shares the
+/// row version it was filled with; a later master write makes a new version
+/// and leaves this one as it was.
 class ReadOnlyCache {
  public:
   struct Entry {
-    db::Row row;
+    db::RowRef row;
     std::uint64_t version = 0;
     sim::SimTime refreshed_at;  // for §4.3's vendor-style timeout invalidation
   };
@@ -67,7 +69,7 @@ class ReadOnlyCache {
   /// Version-monotonic: a pull that raced with a concurrent push (fetched
   /// before the write committed, arrived after the push) must not clobber
   /// the newer pushed state.
-  void fill(std::int64_t pk, db::Row row, std::uint64_t version,
+  void fill(std::int64_t pk, db::RowRef row, std::uint64_t version,
             sim::SimTime now = sim::SimTime::origin()) {
     auto it = entries_.find(pk);
     if (it != entries_.end() && it->second.version > version) {
@@ -80,7 +82,7 @@ class ReadOnlyCache {
   /// Applies a pushed update from the read-write master. Version-monotonic
   /// like `fill`: an async-topic push redelivered late (or reordered by the
   /// fault injector) must not roll the replica back to older state.
-  void apply_push(std::int64_t pk, db::Row row, std::uint64_t version,
+  void apply_push(std::int64_t pk, db::RowRef row, std::uint64_t version,
                   sim::SimTime now = sim::SimTime::origin()) {
     auto it = entries_.find(pk);
     if (it != entries_.end() && it->second.version > version) {

@@ -10,12 +10,13 @@
 namespace mutsvc::cache {
 
 /// One entity-state change pushed from a read-write bean to its read-only
-/// replicas (§4.3). Carries the full new row; the "transfer only changed
-/// fields" optimization is modelled by UpdateBatch::wire_bytes.
+/// replicas (§4.3). Carries the full new row (the version committed); the
+/// "transfer only changed fields" optimization is modelled by
+/// UpdateBatch::wire_bytes.
 struct EntityUpdate {
   std::string entity;
   std::int64_t pk = 0;
-  db::Row row;
+  db::RowRef row;
   std::uint64_t version = 0;
 };
 
@@ -23,7 +24,7 @@ struct EntityUpdate {
 /// protocol), or an invalidation when `rows` is empty and `invalidate_only`.
 struct QueryRefresh {
   std::string cache_key;
-  std::vector<db::Row> rows;
+  std::vector<db::RowRef> rows;
   std::uint64_t version = 0;
   bool invalidate_only = false;
 };
@@ -42,13 +43,13 @@ struct UpdateBatch {
   [[nodiscard]] net::Bytes wire_bytes(bool delta_encoding = false) const {
     net::Bytes total = 64;
     for (const auto& e : entities) {
-      net::Bytes row_bytes = db::wire_size(e.row);
+      net::Bytes row_bytes = db::wire_size(*e.row);
       total += 32 + (delta_encoding ? row_bytes / 4 : row_bytes);
     }
     for (const auto& q : queries) {
       total += 48;
       if (!q.invalidate_only) {
-        for (const auto& r : q.rows) total += db::wire_size(r);
+        for (const auto& r : q.rows) total += db::wire_size(*r);
       }
     }
     return total;

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -23,7 +22,9 @@ namespace mutsvc::comp {
 /// Mutexes are created on first acquire and evicted again on the release
 /// that leaves them unlocked and uncontended, so the table tracks live
 /// locks, not every key ever written (a long benchmark run touches millions
-/// of distinct keys).
+/// of distinct keys). Each mutex lives in its map node (nodes are stable),
+/// and an uncontended mutex allocates nothing, so an acquisition costs one
+/// node.
 ///
 /// Under MUTSVC_SIMCHECK the acquire/release pair feeds the sanitizer's
 /// wait-for graph: `actor` identifies the owning transaction, and a cycle
@@ -56,16 +57,16 @@ class LockManager {
     if (it == locks_.end()) {
       throw std::logic_error("LockManager::release: no mutex for key " + lock_name(key));
     }
-    it->second->release();
+    it->second.release();
     if (simcheck::enabled()) simcheck::on_lock_released(simcheck::intern_lock(lock_name(key)));
     // Evict once unlocked and uncontended. A release that handed the slot to
     // a queued waiter leaves the mutex locked, so contended entries survive.
-    if (!it->second->locked() && it->second->queue_length() == 0) locks_.erase(it);
+    if (!it->second.locked() && it->second.queue_length() == 0) locks_.erase(it);
   }
 
   [[nodiscard]] bool is_locked(const Key& key) const {
     auto it = locks_.find(key);
-    return it != locks_.end() && it->second->locked();
+    return it != locks_.end() && it->second.locked();
   }
 
   /// Number of currently held locks (the sanitizer's wait-for graph and
@@ -73,7 +74,7 @@ class LockManager {
   [[nodiscard]] std::size_t held_count() const {
     std::size_t n = 0;
     for (const auto& [key, m] : locks_) {
-      if (m->locked()) ++n;
+      if (m.locked()) ++n;
     }
     return n;
   }
@@ -89,16 +90,10 @@ class LockManager {
   }
 
  private:
-  sim::SimMutex& mutex_for(const Key& key) {
-    auto it = locks_.find(key);
-    if (it == locks_.end()) {
-      it = locks_.emplace(key, std::make_unique<sim::SimMutex>(sim_)).first;
-    }
-    return *it->second;
-  }
+  sim::SimMutex& mutex_for(const Key& key) { return locks_.try_emplace(key, sim_).first->second; }
 
   sim::Simulator& sim_;
-  std::map<Key, std::unique_ptr<sim::SimMutex>> locks_;
+  std::map<Key, sim::SimMutex> locks_;
   std::uint64_t acquisitions_ = 0;
   std::uint64_t contended_ = 0;
 };

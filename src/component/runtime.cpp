@@ -20,12 +20,12 @@ sim::Task<void> CallContext::cpu(sim::Duration d) {
   if (trace_ != nullptr) trace_->add(SpanKind::kCpu, rt_.simulator().now() - t0);
 }
 
-sim::Task<CallResult> CallContext::call(MethodRef callee, std::vector<db::Value> args) {
+sim::Task<CallResult> CallContext::call(MethodRef callee, CallArgs args) {
   return rt_.call_from(node_, callee, std::move(args), comp_->id(), trace_, session_key_);
 }
 
 sim::Task<CallResult> CallContext::call(const std::string& component, const std::string& method,
-                                        std::vector<db::Value> args) {
+                                        CallArgs args) {
   return call(rt_.app().method_ref(component, method), std::move(args));
 }
 
@@ -41,8 +41,7 @@ sim::Task<db::QueryResult> CallContext::direct_query(db::Query q) {
   }(rt_, node_, std::move(q), trace_);
 }
 
-sim::Task<std::optional<db::Row>> CallContext::read_entity(const std::string& entity,
-                                                           std::int64_t pk) {
+sim::Task<db::RowRef> CallContext::read_entity(const std::string& entity, std::int64_t pk) {
   const EntityId id = rt_.bound_entity(entity);
   rt_.record_interaction(comp_->id(), rt_.entities_[id].endpoint, 256);
   return rt_.read_entity_impl(node_, id, pk, trace_);
@@ -320,7 +319,7 @@ sim::Task<std::uint64_t> Runtime::transfer_replica_state(net::NodeId from, net::
     const auto snap = ro_cache(from, entity).snapshot();
     if (snap.empty()) continue;
     net::Bytes bytes = 64;
-    for (const auto& [pk, e] : snap) bytes += db::wire_size(e.row) + 16;
+    for (const auto& [pk, e] : snap) bytes += db::wire_size(*e.row) + 16;
     co_await update_rmi_->call_dynamic(from, to, bytes, [&]() -> sim::Task<net::Bytes> {
       co_await topo_.node(to).cpu->consume(cfg_.apply_update);
       cache::ReadOnlyCache& dst = ro_cache(to, entity);
@@ -509,9 +508,9 @@ net::Bytes Runtime::values_bytes(std::span<const db::Value> vals) {
   return total;
 }
 
-net::Bytes Runtime::rows_bytes(const std::vector<db::Row>& rows) {
+net::Bytes Runtime::rows_bytes(const std::vector<db::RowRef>& rows) {
   net::Bytes total = 0;
-  for (const auto& r : rows) total += db::wire_size(r);
+  for (const auto& r : rows) total += db::wire_size(*r);
   return total;
 }
 
@@ -652,7 +651,7 @@ sim::Task<CallResult> Runtime::call_from(net::NodeId caller, MethodRef callee, C
 
 sim::Task<void> Runtime::dispatch(net::NodeId node, const ComponentDef& comp,
                                   const MethodDef& method, CallArgs args,
-                                  std::vector<db::Row>* out, TraceSink* trace,
+                                  std::vector<db::RowRef>* out, TraceSink* trace,
                                   std::uint64_t session_key) {
   {
     const sim::SimTime c0 = sim_.now();
@@ -692,8 +691,8 @@ sim::Task<void> Runtime::dispatch(net::NodeId node, const ComponentDef& comp,
   }
 }
 
-sim::Task<std::optional<db::Row>> Runtime::read_entity_impl(net::NodeId node, EntityId entity,
-                                                            std::int64_t pk, TraceSink* trace) {
+sim::Task<db::RowRef> Runtime::read_entity_impl(net::NodeId node, EntityId entity,
+                                                std::int64_t pk, TraceSink* trace) {
   const cache::EntityKey vkey{entity, pk};
   const std::string& table = entities_[entity].table;
   const net::NodeId primary = plan_.main_server();
@@ -729,7 +728,7 @@ sim::Task<std::optional<db::Row>> Runtime::read_entity_impl(net::NodeId node, En
     // Pull refresh: one RMI to the remote façade co-located with the data
     // (read-only beans "refresh their content by querying a remote façade
     // upon the first business method call after the invalidation", §4.3).
-    std::optional<db::Row> fetched;
+    db::RowRef fetched;
     std::uint64_t version = 0;
     bool refreshed = false;
     try {
@@ -743,6 +742,9 @@ sim::Task<std::optional<db::Row>> Runtime::read_entity_impl(net::NodeId node, En
             db::QueryResult res =
                 co_await jdbc_for(primary).execute(db::Query::pk_lookup(table, pk));
             if (!res.rows.empty()) fetched = std::move(res.rows[0]);
+            // The reply is billed as the bare result envelope, without the
+            // row: the byte count every golden and digest was recorded with.
+            res.rows.clear();
             version = consistency_.master_version(vkey);
             if (trace) {
               const sim::SimTime w1 = sim_.now();
@@ -767,27 +769,27 @@ sim::Task<std::optional<db::Row>> Runtime::read_entity_impl(net::NodeId node, En
       throw net::DeliveryError("Runtime: read of " + version_label(entity, pk) +
                                " failed with no usable replica entry");
     }
-    if (fetched.has_value()) {
-      cache.fill(pk, *fetched, version, sim_.now());
+    if (fetched) {
+      cache.fill(pk, fetched, version, sim_.now());
       note_read(vkey, version);
     }
     co_return fetched;
   }
 
   // No local replica: read through the entity bean at its primary.
-  auto read_at_primary = [&]() -> sim::Task<std::optional<db::Row>> {
+  auto read_at_primary = [&]() -> sim::Task<db::RowRef> {
     const sim::SimTime j0 = sim_.now();
     co_await topo_.node(primary).cpu->consume(cfg_.entity_access);
     db::QueryResult res = co_await jdbc_for(primary).execute(db::Query::pk_lookup(table, pk));
     if (trace) trace->add(SpanKind::kJdbc, sim_.now() - j0);
     note_read(vkey, consistency_.master_version(vkey));
-    if (res.rows.empty()) co_return std::nullopt;
+    if (res.rows.empty()) co_return db::RowRef();
     co_return std::move(res.rows[0]);
   };
 
   if (node == primary) co_return co_await read_at_primary();
 
-  std::optional<db::Row> fetched;
+  db::RowRef fetched;
   co_await rmi_.call_dynamic(
       node, primary, 64,
       [&]() -> sim::Task<net::Bytes> {
@@ -1043,8 +1045,8 @@ cache::UpdateBatch Runtime::build_batch(const std::vector<CallContext::PendingWr
     }
     if (duplicate) continue;
     const Entity& e = entities_[w.entity];
-    if (auto row = db_.table(e.table).get(w.pk)) {
-      batch.entities.push_back(cache::EntityUpdate{e.name, w.pk, std::move(*row),
+    if (db::RowRef row = db_.table(e.table).get(w.pk)) {
+      batch.entities.push_back(cache::EntityUpdate{e.name, w.pk, std::move(row),
                                                    versions.of(cache::EntityKey{w.entity, w.pk})});
     }
   }

@@ -56,13 +56,14 @@ struct RuntimeConfig {
 };
 
 struct CallResult {
-  std::vector<db::Row> rows;
+  std::vector<db::RowRef> rows;
 };
 
 /// A call's arguments: owned by the call (a nested call builds them), or
 /// borrowed from a caller that outlives the call (the HTTP edge lends its
-/// PageRequest's arguments instead of copying them per page). Move-only; a
-/// move keeps the view valid because a moved vector keeps its buffer.
+/// PageRequest's arguments, and a servlet that forwards its own arguments
+/// lends them, instead of copying them). Move-only; a move keeps the view
+/// valid because a moved vector keeps its buffer.
 class CallArgs {
  public:
   CallArgs() = default;
@@ -74,7 +75,7 @@ class CallArgs {
   CallArgs& operator=(const CallArgs&) = delete;
 
   /// Borrows `lent`, which must outlive the call.
-  [[nodiscard]] static CallArgs borrow(const std::vector<db::Value>& lent) {
+  [[nodiscard]] static CallArgs borrow(std::span<const db::Value> lent) {
     CallArgs a;
     a.view_ = lent;
     return a;
@@ -117,6 +118,9 @@ class CallContext {
   [[nodiscard]] std::uint64_t session_key() const { return session_key_; }
 
   [[nodiscard]] std::size_t arg_count() const { return args_.view().size(); }
+  /// Every argument; lend them on with CallArgs::borrow while this context
+  /// is alive.
+  [[nodiscard]] std::span<const db::Value> args() const { return args_.view(); }
   [[nodiscard]] const db::Value& arg(std::size_t i) const {
     if (i >= args_.view().size()) throw std::out_of_range("CallContext::arg");
     return args_.view()[i];
@@ -129,22 +133,24 @@ class CallContext {
 
   /// Invoke another component's method (local dispatch or RMI, per plan)
   /// through a handle resolved when the application was defined.
-  [[nodiscard]] sim::Task<CallResult> call(MethodRef callee, std::vector<db::Value> args = {});
+  [[nodiscard]] sim::Task<CallResult> call(MethodRef callee, CallArgs args = {});
 
   /// By name: resolves `component.method` (std::invalid_argument when
   /// unknown), then takes the handle path.
   [[nodiscard]] sim::Task<CallResult> call(const std::string& component,
-                                           const std::string& method,
-                                           std::vector<db::Value> args = {});
+                                           const std::string& method, CallArgs args = {});
 
   /// Variadic convenience (also works around a GCC 12 bug with braced
   /// init-lists inside co_await expressions). Pass std::int64_t / double /
-  /// string-ish values explicitly.
+  /// string-ish values explicitly. An argument list already built (a
+  /// vector, CallArgs) takes the overloads above.
   template <class A0, class... A>
+    requires(!std::is_convertible_v<A0, CallArgs>)
   [[nodiscard]] sim::Task<CallResult> call(MethodRef callee, A0&& a0, A&&... rest) {
     return call(callee, pack(std::forward<A0>(a0), std::forward<A>(rest)...));
   }
   template <class A0, class... A>
+    requires(!std::is_convertible_v<A0, CallArgs>)
   [[nodiscard]] sim::Task<CallResult> call(const std::string& component,
                                            const std::string& method, A0&& a0, A&&... rest) {
     return call(component, method, pack(std::forward<A0>(a0), std::forward<A>(rest)...));
@@ -155,9 +161,9 @@ class CallContext {
   [[nodiscard]] sim::Task<db::QueryResult> direct_query(db::Query q);
 
   /// Entity read through the read-mostly machinery (§4.3): served by a local
-  /// read-only replica when deployed, else by the entity's primary.
-  [[nodiscard]] sim::Task<std::optional<db::Row>> read_entity(const std::string& entity,
-                                                              std::int64_t pk);
+  /// read-only replica when deployed, else by the entity's primary. Null
+  /// when the row does not exist.
+  [[nodiscard]] sim::Task<db::RowRef> read_entity(const std::string& entity, std::int64_t pk);
 
   /// Aggregate/finder query through the query-cache machinery (§4.4).
   [[nodiscard]] sim::Task<db::QueryResult> cached_query(db::Query q);
@@ -178,7 +184,7 @@ class CallContext {
   [[nodiscard]] std::int64_t allocate_id(const std::string& table);
 
   /// Rows returned to the caller (marshalled into the RMI reply).
-  std::vector<db::Row> result;
+  std::vector<db::RowRef> result;
 
   template <class... A>
   [[nodiscard]] static std::vector<db::Value> pack(A&&... a) {
@@ -545,13 +551,11 @@ class Runtime {
 
   [[nodiscard]] sim::Task<void> dispatch(net::NodeId node, const ComponentDef& comp,
                                          const MethodDef& method, CallArgs args,
-                                         std::vector<db::Row>* out, TraceSink* trace,
+                                         std::vector<db::RowRef>* out, TraceSink* trace,
                                          std::uint64_t session_key = 0);
 
-  [[nodiscard]] sim::Task<std::optional<db::Row>> read_entity_impl(net::NodeId node,
-                                                                   EntityId entity,
-                                                                   std::int64_t pk,
-                                                                   TraceSink* trace);
+  [[nodiscard]] sim::Task<db::RowRef> read_entity_impl(net::NodeId node, EntityId entity,
+                                                       std::int64_t pk, TraceSink* trace);
 
   [[nodiscard]] sim::Task<db::QueryResult> cached_query_impl(net::NodeId node, db::Query q,
                                                              TraceSink* trace);
@@ -639,7 +643,7 @@ class Runtime {
   void probe_staleness();
 
   static net::Bytes values_bytes(std::span<const db::Value> vals);
-  static net::Bytes rows_bytes(const std::vector<db::Row>& rows);
+  static net::Bytes rows_bytes(const std::vector<db::RowRef>& rows);
 
   sim::Simulator& sim_;
   net::Topology& topo_;

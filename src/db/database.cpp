@@ -34,7 +34,7 @@ QueryResult Database::execute_immediate(const Query& q) {
   QueryResult res;
   switch (q.kind) {
     case QueryKind::kPkLookup: {
-      if (auto row = table(q.table).get(q.pk)) res.rows.push_back(std::move(*row));
+      if (RowRef row = table(q.table).get(q.pk)) res.rows.push_back(std::move(row));
       break;
     }
     case QueryKind::kFinder: {
@@ -115,7 +115,7 @@ std::optional<std::size_t> Database::single_shard(const Query& q) const {
 std::vector<Database::ShardSlice> Database::partition_result(const QueryResult& res) const {
   std::vector<ShardSlice> slices(homes_.size());
   for (std::size_t i = 0; i < res.rows.size(); ++i) {
-    const Row& r = res.rows[i];
+    const Row& r = *res.rows[i];
     // Rows keyed by an integer first column belong to that key's owner;
     // synthetic aggregate rows (no key column) round-robin by index so the
     // attribution stays deterministic and balanced.

@@ -47,7 +47,7 @@ struct DbCostModel {
 /// this collapses exactly to the paper's single-RDBMS testbed.
 class Database {
  public:
-  using AggregateFn = std::function<std::vector<Row>(Database&, const std::vector<Value>&)>;
+  using AggregateFn = std::function<std::vector<RowRef>(Database&, const std::vector<Value>&)>;
 
   Database(net::Topology& topo, net::NodeId home, DbCostModel cost = {})
       : Database(topo, std::vector<net::NodeId>{home}, cost) {}

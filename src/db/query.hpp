@@ -173,13 +173,14 @@ struct Query {
   }
 };
 
+/// A statement's result: shared row versions (a read copies no row).
 struct QueryResult {
-  std::vector<Row> rows;
+  std::vector<RowRef> rows;
   std::int64_t affected = 0;
 
   [[nodiscard]] net::Bytes wire_bytes() const {
     net::Bytes total = 16;  // status/metadata
-    for (const auto& r : rows) total += wire_size(r);
+    for (const auto& r : rows) total += wire_size(*r);
     return total;
   }
 };

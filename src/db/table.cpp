@@ -23,7 +23,7 @@ void Table::create_index(const std::string& col) {
   std::size_t ci = column_index(col);
   auto& idx = indexes_[col];
   idx.clear();
-  for (const auto& [pk, row] : rows_) idx.emplace(row[ci], IndexEntry{pk, &row});
+  for (const auto& [pk, row] : rows_) idx.emplace((*row)[ci], IndexEntry{pk, &row});
 }
 
 bool Table::has_index(const std::string& col) const { return indexes_.contains(col); }
@@ -43,7 +43,7 @@ void Table::insert(Row row) {
     throw std::invalid_argument("Table " + name_ + ": duplicate primary key");
   }
   // Store first, then index: the index holds pointers into the stored row.
-  auto [it, inserted] = rows_.emplace(pk, std::move(row));
+  auto [it, inserted] = rows_.emplace(pk, RowRef::make(std::move(row)));
   index_row(it->second, pk);
 }
 
@@ -62,8 +62,8 @@ void Table::update(std::int64_t pk, Row row) {
   if (as_int(row[0]) != pk) {
     throw std::invalid_argument("Table " + name_ + ": update must not change primary key");
   }
-  unindex_row(it->second, pk);
-  it->second = std::move(row);
+  unindex_row(*it->second, pk);
+  it->second = RowRef::make(std::move(row));
   index_row(it->second, pk);
 }
 
@@ -75,27 +75,30 @@ void Table::update_column(std::int64_t pk, const std::string& col, Value v) {
   if (!matches_type(v, columns_[ci].type)) {
     throw std::invalid_argument("Table " + name_ + ": type mismatch in column " + col);
   }
-  unindex_row(it->second, pk);
-  it->second[ci] = std::move(v);
+  // Copy-on-write: holders of the current version keep it.
+  Row next = *it->second;
+  next[ci] = std::move(v);
+  unindex_row(*it->second, pk);
+  it->second = RowRef::make(std::move(next));
   index_row(it->second, pk);
 }
 
 bool Table::erase(std::int64_t pk) {
   auto it = rows_.find(pk);
   if (it == rows_.end()) return false;
-  unindex_row(it->second, pk);
+  unindex_row(*it->second, pk);
   rows_.erase(it);
   return true;
 }
 
-std::optional<Row> Table::get(std::int64_t pk) const {
+RowRef Table::get(std::int64_t pk) const {
   auto it = rows_.find(pk);
-  if (it == rows_.end()) return std::nullopt;
+  if (it == rows_.end()) return {};
   return it->second;
 }
 
-std::vector<Row> Table::find_equal(const std::string& col, const Value& v) const {
-  std::vector<Row> out;
+std::vector<RowRef> Table::find_equal(const std::string& col, const Value& v) const {
+  std::vector<RowRef> out;
   auto idx_it = indexes_.find(col);
   if (idx_it != indexes_.end()) {
     auto [lo, hi] = idx_it->second.equal_range(v);
@@ -105,15 +108,15 @@ std::vector<Row> Table::find_equal(const std::string& col, const Value& v) const
   }
   std::size_t ci = column_index(col);
   for (const auto& [pk, row] : rows_) {
-    if (row[ci] == v) out.push_back(row);
+    if ((*row)[ci] == v) out.push_back(row);
   }
   return out;
 }
 
-std::vector<Row> Table::scan(const std::function<bool(const Row&)>& predicate) const {
-  std::vector<Row> out;
+std::vector<RowRef> Table::scan(const std::function<bool(const Row&)>& predicate) const {
+  std::vector<RowRef> out;
   for (const auto& [pk, row] : rows_) {
-    if (predicate(row)) out.push_back(row);
+    if (predicate(*row)) out.push_back(row);
   }
   return out;
 }
@@ -123,15 +126,15 @@ std::int64_t Table::approx_row_bytes() const {
   std::int64_t total = 0;
   std::size_t sampled = 0;
   for (const auto& [pk, row] : rows_) {
-    total += wire_size(row);
+    total += wire_size(*row);
     if (++sampled >= 16) break;
   }
   return total / static_cast<std::int64_t>(sampled);
 }
 
-void Table::index_row(const Row& row, std::int64_t pk) {
+void Table::index_row(const RowRef& row, std::int64_t pk) {
   for (auto& [col, idx] : indexes_) {
-    idx.emplace(row[column_index(col)], IndexEntry{pk, &row});
+    idx.emplace((*row)[column_index(col)], IndexEntry{pk, &row});
   }
 }
 

@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -45,9 +44,20 @@ struct ValueLess {
 
 /// One relational table with an integer primary key (column 0) and optional
 /// secondary indexes on other columns.
+///
+/// Each stored row is an immutable version (`RowRef`); every read hands out
+/// the version and every write swaps in a new one, so a handle taken before
+/// a write keeps reading the values it was given.
 class Table {
  public:
   Table(std::string name, std::vector<Column> columns);
+
+  // Index entries point into this table's own row map, and a copy would
+  // share the versions' non-atomic counts: tables move, never copy.
+  Table(const Table&) = delete;
+  Table& operator=(const Table&) = delete;
+  Table(Table&&) = default;
+  Table& operator=(Table&&) = default;
 
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] const std::vector<Column>& columns() const { return columns_; }
@@ -62,12 +72,15 @@ class Table {
   /// Replaces the row with the given primary key; throws if absent.
   void update(std::int64_t pk, Row row);
 
-  /// In-place single-column update; throws if row absent.
+  /// Single-column update: a new version with `col` replaced; throws if the
+  /// row is absent.
   void update_column(std::int64_t pk, const std::string& col, Value v);
 
+  /// Drops the table's reference; handles already taken keep the row.
   bool erase(std::int64_t pk);
 
-  [[nodiscard]] std::optional<Row> get(std::int64_t pk) const;
+  /// The row's current version, or null when absent.
+  [[nodiscard]] RowRef get(std::int64_t pk) const;
   [[nodiscard]] bool contains(std::int64_t pk) const { return rows_.contains(pk); }
   [[nodiscard]] std::size_t row_count() const { return rows_.size(); }
   [[nodiscard]] std::int64_t max_pk() const { return rows_.empty() ? 0 : rows_.rbegin()->first; }
@@ -75,12 +88,12 @@ class Table {
   /// All rows whose `col` equals `v`. Uses a secondary index when present
   /// (result pre-reserved, rows read through the index's row pointers — no
   /// per-match primary-key re-lookup); falls back to a full scan.
-  [[nodiscard]] std::vector<Row> find_equal(const std::string& col, const Value& v) const;
+  [[nodiscard]] std::vector<RowRef> find_equal(const std::string& col, const Value& v) const;
 
-  /// Non-copying variant of find_equal: visits each matching row in place,
-  /// in primary-key-insertion order for indexed columns and primary-key
-  /// order for scans — the same order find_equal returns. Used by the query
-  /// layer (aggregates) to filter/join without copying whole rows.
+  /// Visits each matching row's version without building a result, in
+  /// primary-key-insertion order for indexed columns and primary-key order
+  /// for scans — the same order find_equal returns. Used by the query layer
+  /// (aggregates) to filter/join, keeping only the handles it needs.
   template <class Fn>
   void for_each_equal(const std::string& col, const Value& v, Fn&& fn) const {
     auto idx_it = indexes_.find(col);
@@ -91,12 +104,12 @@ class Table {
     }
     const std::size_t ci = column_index(col);
     for (const auto& [pk, row] : rows_) {
-      if (row[ci] == v) fn(row);
+      if ((*row)[ci] == v) fn(row);
     }
   }
 
   /// Full scan with predicate (used by keyword search and aggregates).
-  [[nodiscard]] std::vector<Row> scan(
+  [[nodiscard]] std::vector<RowRef> scan(
       const std::function<bool(const Row&)>& predicate) const;
 
   /// Mean wire size per row (from a sample), for transfer estimation.
@@ -104,21 +117,21 @@ class Table {
 
  private:
   /// Index entry: the primary key (for unindexing) plus a direct pointer to
-  /// the row storage. std::map nodes are stable and updates assign in
-  /// place, so the pointer stays valid until the row is erased (which
-  /// unindexes first).
+  /// the row's handle in `rows_`. std::map nodes are stable and a write
+  /// swaps the handle in place, so the pointer stays valid until the row is
+  /// erased (which unindexes first).
   struct IndexEntry {
     std::int64_t pk;
-    const Row* row;
+    const RowRef* row;
   };
   using Index = std::multimap<Value, IndexEntry, ValueLess>;
 
-  void index_row(const Row& row, std::int64_t pk);
+  void index_row(const RowRef& row, std::int64_t pk);
   void unindex_row(const Row& row, std::int64_t pk);
 
   std::string name_;
   std::vector<Column> columns_;
-  std::map<std::int64_t, Row> rows_;  // ordered: deterministic scans
+  std::map<std::int64_t, RowRef> rows_;  // ordered: deterministic scans
   std::unordered_map<std::string, Index> indexes_;  // index name -> value -> entry
 };
 

@@ -1,7 +1,9 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -12,6 +14,49 @@ namespace mutsvc::db {
 using Value = std::variant<std::int64_t, double, std::string>;
 
 using Row = std::vector<Value>;
+
+/// A shared, immutable row version: what every read hands out instead of a
+/// copy. A table keeps one per stored row and replaces it on every write
+/// (copy-on-write), so a holder — a query result, a replica entry, a queued
+/// update — keeps the version it was given while the table moves on.
+///
+/// Nullable (a missing row); `*` and `->` read the row. The reference count
+/// is a plain integer: a trial never crosses threads (DESIGN §10). Only
+/// `make` builds one, from an owned row, so no read path copies a row by
+/// accident.
+class RowRef {
+ public:
+  RowRef() noexcept = default;
+  RowRef(const RowRef& o) noexcept : node_(o.node_) {
+    if (node_ != nullptr) ++node_->refs;
+  }
+  RowRef(RowRef&& o) noexcept : node_(o.node_) { o.node_ = nullptr; }
+  RowRef& operator=(RowRef o) noexcept {
+    std::swap(node_, o.node_);
+    return *this;
+  }
+  ~RowRef() {
+    if (node_ != nullptr && --node_->refs == 0) delete node_;
+  }
+
+  /// The version holding `row`, whose first holder is the result.
+  [[nodiscard]] static RowRef make(Row row) {
+    RowRef r;
+    r.node_ = new Node{std::move(row), 1};
+    return r;
+  }
+
+  [[nodiscard]] const Row& operator*() const noexcept { return node_->row; }
+  [[nodiscard]] const Row* operator->() const noexcept { return &node_->row; }
+  [[nodiscard]] explicit operator bool() const noexcept { return node_ != nullptr; }
+
+ private:
+  struct Node {
+    Row row;
+    std::size_t refs;
+  };
+  Node* node_ = nullptr;
+};
 
 [[nodiscard]] inline std::int64_t as_int(const Value& v) { return std::get<std::int64_t>(v); }
 [[nodiscard]] inline double as_real(const Value& v) { return std::get<double>(v); }

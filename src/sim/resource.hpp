@@ -2,10 +2,10 @@
 
 #include <coroutine>
 #include <cstddef>
-#include <deque>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
@@ -51,9 +51,8 @@ class FifoResource {
     if (busy_ == 0) throw std::logic_error("FifoResource::release without acquire");
     accumulate_busy();
     --busy_;
-    if (!waiters_.empty()) {
-      const Waiter w = waiters_.front();
-      waiters_.pop_front();
+    if (head_ < waiters_.size()) {
+      const Waiter w = pop_waiter();
       ++busy_;  // hand the slot straight to the next waiter
       if (w.hold) {
         // A queued consume(): the hand-off event starts its hold.
@@ -94,7 +93,7 @@ class FifoResource {
 
   [[nodiscard]] std::size_t servers() const { return servers_; }
   [[nodiscard]] std::size_t busy() const { return busy_; }
-  [[nodiscard]] std::size_t queue_length() const { return waiters_.size(); }
+  [[nodiscard]] std::size_t queue_length() const { return waiters_.size() - head_; }
   [[nodiscard]] const std::string& name() const { return name_; }
 
   /// Resets the utilization accounting window (call at end of warm-up).
@@ -129,11 +128,29 @@ class FifoResource {
     std::optional<Duration> hold;  // set for consume(d); empty for acquire()
   };
 
+  /// Takes the oldest waiter. The queue is a vector read from `head_`: it
+  /// allocates nothing until a first waiter queues and keeps its capacity
+  /// afterwards. The read index resets when the queue drains, and the
+  /// served prefix is dropped once it is half the buffer, so a queue that
+  /// never drains stays bounded.
+  Waiter pop_waiter() {
+    const Waiter w = waiters_[head_++];
+    if (head_ == waiters_.size()) {
+      waiters_.clear();
+      head_ = 0;
+    } else if (head_ >= 32 && 2 * head_ >= waiters_.size()) {
+      waiters_.erase(waiters_.begin(), waiters_.begin() + static_cast<std::ptrdiff_t>(head_));
+      head_ = 0;
+    }
+    return w;
+  }
+
   Simulator& sim_;
   std::size_t servers_;
   std::size_t free_;
   std::size_t busy_ = 0;
-  std::deque<Waiter> waiters_;
+  std::vector<Waiter> waiters_;  // FIFO from head_ (see pop_waiter)
+  std::size_t head_ = 0;
   std::string name_;
   Duration busy_integral_ = Duration::zero();
   SimTime last_change_ = SimTime::origin();

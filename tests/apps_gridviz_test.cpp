@@ -70,8 +70,8 @@ TEST(GridVizAppTest, RecentReadingsAggregateBoundedWindow) {
   // 4 probes x min(20, 10) readings.
   EXPECT_EQ(res.rows.size(), 40u);
   for (const auto& r : res.rows) {
-    auto probe = f.db.table("probes").get(db::as_int(r[1]));
-    ASSERT_TRUE(probe.has_value());
+    auto probe = f.db.table("probes").get(db::as_int((*r)[1]));
+    ASSERT_TRUE(probe);
     EXPECT_EQ(db::as_int((*probe)[1]), 3);
   }
 }

@@ -88,12 +88,12 @@ TEST(PetStoreAppTest, ReferentialIntegrity) {
   // Every item's product exists; every product's category exists.
   auto products = f.db.table("product").scan([](const db::Row&) { return true; });
   for (const auto& p : products) {
-    EXPECT_TRUE(f.db.table("category").contains(db::as_int(p[1])));
+    EXPECT_TRUE(f.db.table("category").contains(db::as_int((*p)[1])));
   }
   auto items = f.db.table("item").scan([](const db::Row&) { return true; });
   for (const auto& i : items) {
-    EXPECT_TRUE(f.db.table("product").contains(db::as_int(i[1])));
-    EXPECT_TRUE(f.db.table("inventory").contains(db::as_int(i[0])));
+    EXPECT_TRUE(f.db.table("product").contains(db::as_int((*i)[1])));
+    EXPECT_TRUE(f.db.table("inventory").contains(db::as_int((*i)[0])));
   }
   // The shape's id scheme round-trips.
   EXPECT_TRUE(f.db.table("product").contains(s.product_id(1, 0)));

@@ -92,9 +92,9 @@ TEST(RubisAppTest, AggregatesRegisteredAndConsistent) {
   auto res = f.db.execute_immediate(
       db::Query::aggregate("items_in_category_region", {std::int64_t{3}, std::int64_t{5}}));
   for (const auto& item : res.rows) {
-    EXPECT_EQ(db::as_int(item[2]), 3);  // category
-    auto seller = f.db.table("users").get(db::as_int(item[3]));
-    ASSERT_TRUE(seller.has_value());
+    EXPECT_EQ(db::as_int((*item)[2]), 3);  // category
+    auto seller = f.db.table("users").get(db::as_int((*item)[3]));
+    ASSERT_TRUE(seller);
     EXPECT_EQ(db::as_int((*seller)[3]), 5);  // region
   }
 }
@@ -104,7 +104,7 @@ TEST(RubisAppTest, AuthFinderMatchesNickname) {
   auto res = f.db.execute_immediate(
       db::Query::finder("users", "nickname", std::string{"user42"}));
   ASSERT_EQ(res.rows.size(), 1u);
-  EXPECT_EQ(db::as_int(res.rows[0][0]), 42);
+  EXPECT_EQ(db::as_int((*res.rows[0])[0]), 42);
 }
 
 // --- session scripts (Tables 4 and 5) -------------------------------------------------

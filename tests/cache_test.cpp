@@ -11,7 +11,7 @@
 namespace mutsvc::cache {
 namespace {
 
-db::Row row(std::int64_t id, double price) { return db::Row{id, price}; }
+db::RowRef row(std::int64_t id, double price) { return db::RowRef::make(db::Row{id, price}); }
 
 // --- ReadOnlyCache -----------------------------------------------------------
 
@@ -33,7 +33,7 @@ TEST(ReadOnlyCacheTest, PushOverwritesAndCounts) {
   c.apply_push(1, row(1, 19.99), 2);
   auto entry = c.get(1);
   ASSERT_NE(entry, nullptr);
-  EXPECT_DOUBLE_EQ(db::as_real(entry->row[1]), 19.99);
+  EXPECT_DOUBLE_EQ(db::as_real((*entry->row)[1]), 19.99);
   EXPECT_EQ(entry->version, 2u);
   EXPECT_EQ(c.pushes_applied(), 1u);
 }
@@ -87,7 +87,7 @@ TEST(ReadOnlyCacheTest, PushRefreshesTheTtlClock) {
   // 11s after the fill but only 1s after the push: still fresh.
   auto entry = c.get_if_fresh(1, SimTime::origin() + sim::sec(11), sim::sec(5));
   ASSERT_NE(entry, nullptr);
-  EXPECT_DOUBLE_EQ(db::as_real(entry->row[1]), 2.0);
+  EXPECT_DOUBLE_EQ(db::as_real((*entry->row)[1]), 2.0);
 }
 
 TEST(ReadOnlyCacheTest, ReorderedPushKeepsNewerEntry) {
@@ -101,7 +101,7 @@ TEST(ReadOnlyCacheTest, ReorderedPushKeepsNewerEntry) {
   auto entry = c.get(1);
   ASSERT_NE(entry, nullptr);
   EXPECT_EQ(entry->version, 2u);
-  EXPECT_DOUBLE_EQ(db::as_real(entry->row[1]), 2.0);
+  EXPECT_DOUBLE_EQ(db::as_real((*entry->row)[1]), 2.0);
   EXPECT_EQ(c.pushes_applied(), 1u);
   EXPECT_EQ(c.stale_pushes_rejected(), 1u);
 }

@@ -56,7 +56,7 @@ struct World {
                    .cpu = Duration::zero(),
                    .body = [](CallContext& ctx) -> Task<void> {
                      auto row = co_await ctx.read_entity("Item", ctx.arg_int(0));
-                     if (row) ctx.result.push_back(*row);
+                     if (row) ctx.result.push_back(std::move(row));
                    }});
     facade.method({.name = "touchTwo",
                    .cpu = Duration::zero(),

@@ -80,7 +80,7 @@ struct World {
                    .cpu = Duration::zero(),
                    .body = [](CallContext& ctx) -> Task<void> {
                      auto row = co_await ctx.read_entity("Item", ctx.arg_int(0));
-                     if (row) ctx.result.push_back(*row);
+                     if (row) ctx.result.push_back(std::move(row));
                    }});
     facade.method({.name = "list",
                    .cpu = Duration::zero(),
@@ -195,7 +195,7 @@ TEST(RuntimeTest, LocalInvocationReturnsData) {
     out = co_await rt.invoke(w.main, "Servlet", "page", std::int64_t{3});
   }(rt, w, out));
   ASSERT_EQ(out.rows.size(), 1u);
-  EXPECT_EQ(db::as_int(out.rows[0][0]), 3);
+  EXPECT_EQ(db::as_int((*out.rows[0])[0]), 3);
   EXPECT_LT(d.as_millis(), 1.0);  // everything local, zero-cost config
 }
 
@@ -337,8 +337,8 @@ TEST(RuntimeTest, BlockingPushKeepsRoReplicasFresh) {
     // Reads after the committed write observe the new value, locally.
     CallResult r1 = co_await rt.invoke(w.edge1, "Facade", "getItem", std::int64_t{2});
     CallResult r2 = co_await rt.invoke(w.edge2, "Facade", "getItem", std::int64_t{2});
-    EXPECT_DOUBLE_EQ(db::as_real(r1.rows.at(0).at(2)), 99.0);
-    EXPECT_DOUBLE_EQ(db::as_real(r2.rows.at(0).at(2)), 99.0);
+    EXPECT_DOUBLE_EQ(db::as_real(r1.rows.at(0)->at(2)), 99.0);
+    EXPECT_DOUBLE_EQ(db::as_real(r2.rows.at(0)->at(2)), 99.0);
   }(rt, w));
 
   EXPECT_EQ(rt.blocking_pushes(), 2u);  // one bulk call per edge
@@ -404,8 +404,8 @@ TEST(RuntimeTest, QueryCachePushRefreshOnWrite) {
     CallResult fresh = co_await rt.invoke(w.edge1, "Facade", "list", std::int64_t{0});
     bool found = false;
     for (const auto& row : fresh.rows) {
-      if (db::as_int(row[0]) == 0) {
-        EXPECT_DOUBLE_EQ(db::as_real(row[2]), 99.0);
+      if (db::as_int((*row)[0]) == 0) {
+        EXPECT_DOUBLE_EQ(db::as_real((*row)[2]), 99.0);
         found = true;
       }
     }
@@ -413,6 +413,121 @@ TEST(RuntimeTest, QueryCachePushRefreshOnWrite) {
   }(rt, w));
   EXPECT_EQ(rt.query_cache(w.edge1).pushes_applied(), 1u);
   EXPECT_EQ(rt.consistency().stale_reads(), 0u);
+}
+
+// --- version isolation: holders keep the row version they were given --------
+//
+// Reads share immutable row versions with the master table. A write the
+// replicas have not been told about (made straight on the table here, like a
+// push still in flight) must not reach what a replica, a cached result or a
+// migration snapshot already holds.
+
+double price_of(const db::RowRef& row) { return db::as_real((*row)[2]); }
+
+/// The price of row `pk` in a result (-1 when absent): a write moves its row
+/// to the end of its index bucket, so finder results are read by pk.
+double price_in(const CallResult& r, std::int64_t pk) {
+  for (const db::RowRef& row : r.rows) {
+    if (db::as_int((*row)[0]) == pk) return price_of(row);
+  }
+  return -1.0;
+}
+
+TEST(RuntimeTest, ReplicaKeepsItsVersionUntilRefreshOrPush) {
+  World w;
+  DeploymentPlan plan = w.base_plan();
+  plan.enable(Feature::kStatefulComponentCaching);
+  plan.enable(Feature::kStubCaching);
+  plan.replicate_read_only("Item", w.edge1);
+  plan.place("Facade", w.edge1);
+  Runtime& rt = w.make_runtime(std::move(plan));
+  db::Table& items = w.db->table("item");
+
+  (void)w.timed([](Runtime& rt, World& w, db::Table& items) -> Task<void> {
+    CallResult filled = co_await rt.invoke(w.edge1, "Facade", "getItem", std::int64_t{2});
+    items.update_column(2, "price", 55.0);
+    CallResult held = co_await rt.invoke(w.edge1, "Facade", "getItem", std::int64_t{2});
+    EXPECT_DOUBLE_EQ(price_of(filled.rows.at(0)), 12.0);
+    EXPECT_DOUBLE_EQ(price_of(held.rows.at(0)), 12.0);  // the replica's version
+    EXPECT_DOUBLE_EQ(price_of(rt.ro_cache(w.edge1, "Item").get(2)->row), 12.0);
+
+    (void)co_await rt.invoke(w.main, "Facade", "buy", std::int64_t{2});  // pushes 99
+    CallResult pushed = co_await rt.invoke(w.edge1, "Facade", "getItem", std::int64_t{2});
+    EXPECT_DOUBLE_EQ(price_of(pushed.rows.at(0)), 99.0);
+
+    items.update_column(2, "price", 77.0);
+    CallResult still = co_await rt.invoke(w.edge1, "Facade", "getItem", std::int64_t{2});
+    EXPECT_DOUBLE_EQ(price_of(still.rows.at(0)), 99.0);
+    rt.ro_cache(w.edge1, "Item").invalidate(2);  // the next read refreshes
+    CallResult refreshed = co_await rt.invoke(w.edge1, "Facade", "getItem", std::int64_t{2});
+    EXPECT_DOUBLE_EQ(price_of(refreshed.rows.at(0)), 77.0);
+  }(rt, w, items));
+  EXPECT_EQ(rt.ro_cache(w.edge1, "Item").pushes_applied(), 1u);
+}
+
+TEST(RuntimeTest, QueryCacheEntriesKeepTheirRowsUntilInvalidationOrPush) {
+  World w;
+  DeploymentPlan plan = w.base_plan();
+  plan.enable(Feature::kStatefulComponentCaching);
+  plan.enable(Feature::kQueryCaching);
+  plan.enable(Feature::kStubCaching);
+  plan.set_query_refresh(QueryRefreshMode::kPush);
+  plan.add_query_cache(w.edge1);
+  plan.place("Facade", w.edge1);
+  Runtime& rt = w.make_runtime(std::move(plan));
+  db::Table& items = w.db->table("item");
+
+  // Product 0's finder returns pks 0, 4, 8, 12, 16 (prices 10, 14, ...).
+  (void)w.timed([](Runtime& rt, World& w, db::Table& items) -> Task<void> {
+    CallResult filled = co_await rt.invoke(w.edge1, "Facade", "list", std::int64_t{0});
+    items.update_column(4, "price", 55.0);
+    CallResult hit = co_await rt.invoke(w.edge1, "Facade", "list", std::int64_t{0});
+    EXPECT_DOUBLE_EQ(price_in(filled, 4), 14.0);
+    EXPECT_DOUBLE_EQ(price_in(hit, 4), 14.0);  // the filled entry's rows
+
+    // The write's pushed refresh re-executes next to the data: both changes.
+    (void)co_await rt.invoke(w.main, "Facade", "buy", std::int64_t{0});
+    CallResult pushed = co_await rt.invoke(w.edge1, "Facade", "list", std::int64_t{0});
+    EXPECT_DOUBLE_EQ(price_in(pushed, 0), 99.0);
+    EXPECT_DOUBLE_EQ(price_in(pushed, 4), 55.0);
+
+    items.update_column(0, "price", 1.0);
+    CallResult kept = co_await rt.invoke(w.edge1, "Facade", "list", std::int64_t{0});
+    EXPECT_DOUBLE_EQ(price_in(kept, 0), 99.0);  // the pushed rows
+    rt.query_cache(w.edge1).invalidate(Query::finder("item", "product_id", std::int64_t{0})
+                                           .cache_key());
+    CallResult refetched = co_await rt.invoke(w.edge1, "Facade", "list", std::int64_t{0});
+    EXPECT_DOUBLE_EQ(price_in(refetched, 0), 1.0);
+  }(rt, w, items));
+  EXPECT_EQ(rt.query_cache(w.edge1).pushes_applied(), 1u);
+}
+
+TEST(RuntimeTest, ReplicaTransferShipsTheSnapshotVersion) {
+  World w;
+  DeploymentPlan plan = w.base_plan();
+  plan.enable(Feature::kStatefulComponentCaching);
+  plan.enable(Feature::kStubCaching);
+  plan.replicate_read_only("Item", w.edge1);
+  plan.place("Facade", w.edge1);
+  Runtime& rt = w.make_runtime(std::move(plan));
+
+  (void)w.timed([](Runtime& rt, World& w) -> Task<void> {
+    (void)co_await rt.invoke(w.edge1, "Facade", "getItem", std::int64_t{2});
+    // The master write lands while the snapshot is on the wire (~200 ms).
+    w.sim.spawn([](World& w) -> Task<void> {
+      co_await w.sim.wait(ms(50));
+      w.db->table("item").update_column(2, "price", 55.0);
+    }(w));
+    std::vector<std::string> entities{"Item"};  // named: GCC 12 and braced lists in co_await
+    const std::uint64_t shipped =
+        co_await rt.transfer_replica_state(w.edge1, w.edge2, std::move(entities), false);
+    EXPECT_EQ(shipped, 1u);
+  }(rt, w));
+  EXPECT_DOUBLE_EQ(price_of(w.db->table("item").get(2)), 55.0);
+  const cache::ReadOnlyCache::Entry* moved = rt.ro_cache(w.edge2, "Item").get(2);
+  ASSERT_NE(moved, nullptr);
+  EXPECT_DOUBLE_EQ(price_of(moved->row), 12.0);
+  EXPECT_DOUBLE_EQ(price_of(rt.ro_cache(w.edge1, "Item").get(2)->row), 12.0);
 }
 
 TEST(RuntimeTest, QueryCachePullRefreshInvalidatesThenReFetches) {
@@ -480,7 +595,7 @@ TEST(RuntimeTest, AsyncUpdatesEventuallyReachReplicas) {
   // After the simulator drained everything, the replica holds the new value.
   auto entry = rt.ro_cache(w.edge1, "Item").get(2);
   ASSERT_NE(entry, nullptr);
-  EXPECT_DOUBLE_EQ(db::as_real(entry->row[2]), 99.0);
+  EXPECT_DOUBLE_EQ(db::as_real((*entry->row)[2]), 99.0);
 }
 
 TEST(RuntimeTest, AsyncUpdateWindowAllowsStaleReads) {
@@ -498,7 +613,7 @@ TEST(RuntimeTest, AsyncUpdateWindowAllowsStaleReads) {
     (void)co_await rt.invoke(w.main, "Facade", "buy", std::int64_t{2});
     // Read immediately after commit, before the 100ms propagation lands.
     CallResult r = co_await rt.invoke(w.edge1, "Facade", "getItem", std::int64_t{2});
-    EXPECT_NE(db::as_real(r.rows.at(0).at(2)), 99.0);  // stale value visible
+    EXPECT_NE(db::as_real(r.rows.at(0)->at(2)), 99.0);  // stale value visible
   }(rt, w));
   w.sim.run_until();
   EXPECT_GE(rt.consistency().stale_reads(), 1u);

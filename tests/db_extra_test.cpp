@@ -2,6 +2,8 @@
 // batching sweeps, aggregate parameters.
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "db/database.hpp"
 #include "db/jdbc.hpp"
 #include "net/network.hpp"
@@ -67,9 +69,9 @@ TEST(DbExtraTest, WireSizeReflectsContent) {
 
 TEST(DbExtraTest, QueryResultWireBytesGrowWithRows) {
   QueryResult small;
-  small.rows = {Row{std::int64_t{1}}};
+  small.rows = {RowRef::make(Row{std::int64_t{1}})};
   QueryResult large;
-  for (int i = 0; i < 100; ++i) large.rows.push_back(Row{std::int64_t{i}});
+  for (int i = 0; i < 100; ++i) large.rows.push_back(RowRef::make(Row{std::int64_t{i}}));
   EXPECT_GT(large.wire_bytes(), small.wire_bytes());
 }
 
@@ -87,11 +89,11 @@ TEST(DbExtraTest, CostModelOrdersQueryKinds) {
 TEST(DbExtraTest, AggregateReceivesParams) {
   Fixture f;
   f.db->register_aggregate("echo_param", [](Database&, const std::vector<Value>& params) {
-    return std::vector<Row>{Row{params.at(0)}};
+    return std::vector<RowRef>{RowRef::make(Row{params.at(0)})};
   });
   auto res = f.db->execute_immediate(Query::aggregate("echo_param", {std::int64_t{42}}));
   ASSERT_EQ(res.rows.size(), 1u);
-  EXPECT_EQ(as_int(res.rows[0][0]), 42);
+  EXPECT_EQ(as_int((*res.rows[0])[0]), 42);
 }
 
 TEST(DbExtraTest, DeleteMissingRowAffectsZero) {
@@ -144,8 +146,16 @@ TEST(DbExtraTest, DbCpuStaysUnderPaperBoundDuringQueryStorm) {
 // --- secondary-index stability across erase/update paths ---------------------
 //
 // The index stores direct pointers into the row storage (stable std::map
-// nodes, in-place assignment); these regressions pin the invariant across
-// every mutation path — the original suite only exercised insert.
+// nodes whose handle a write swaps in place); these regressions pin the
+// invariant across every mutation path — the original suite only exercised
+// insert.
+
+// A copy would duplicate index entries that point into the source's rows,
+// and share the versions' non-atomic counts; a move keeps the map nodes.
+static_assert(!std::is_copy_constructible_v<Table>);
+static_assert(!std::is_copy_assignable_v<Table>);
+static_assert(std::is_move_constructible_v<Table>);
+static_assert(std::is_move_assignable_v<Table>);
 
 Table indexed_table() {
   Table t{"item", {{"id", ColumnType::kInt},
@@ -165,9 +175,9 @@ TEST(TableIndexTest, EraseRemovesOnlyThatRowFromSharedBucket) {
   const auto rows = t.find_equal("product", std::int64_t{1});
   ASSERT_EQ(rows.size(), 2u);
   // Surviving entries still dereference to valid, correct row content.
-  EXPECT_EQ(as_int(rows[0][0]), 1);
-  EXPECT_EQ(as_int(rows[1][0]), 5);
-  EXPECT_EQ(as_text(rows[1][2]), "n5");
+  EXPECT_EQ(as_int((*rows[0])[0]), 1);
+  EXPECT_EQ(as_int((*rows[1])[0]), 5);
+  EXPECT_EQ(as_text((*rows[1])[2]), "n5");
 }
 
 TEST(TableIndexTest, FullRowUpdateMovesIndexBucket) {
@@ -177,8 +187,8 @@ TEST(TableIndexTest, FullRowUpdateMovesIndexBucket) {
   EXPECT_EQ(t.find_equal("product", std::int64_t{0}).size(), 2u);  // pks 4,6
   const auto moved = t.find_equal("product", std::int64_t{9});
   ASSERT_EQ(moved.size(), 1u);
-  EXPECT_EQ(as_int(moved[0][0]), 2);
-  EXPECT_EQ(as_text(moved[0][2]), "moved");  // pointer sees the new content
+  EXPECT_EQ(as_int((*moved[0])[0]), 2);
+  EXPECT_EQ(as_text((*moved[0])[2]), "moved");  // pointer sees the new content
 }
 
 TEST(TableIndexTest, UpdateColumnOnIndexedColumnMovesBucket) {
@@ -187,17 +197,17 @@ TEST(TableIndexTest, UpdateColumnOnIndexedColumnMovesBucket) {
   EXPECT_EQ(t.find_equal("product", std::int64_t{1}).size(), 2u);  // pks 3,5
   const auto moved = t.find_equal("product", std::int64_t{7});
   ASSERT_EQ(moved.size(), 1u);
-  EXPECT_EQ(as_int(moved[0][0]), 1);
+  EXPECT_EQ(as_int((*moved[0])[0]), 1);
 }
 
 TEST(TableIndexTest, UpdateColumnOnUnindexedColumnIsVisibleThroughIndex) {
   Table t = indexed_table();
   t.update_column(1, "name", std::string{"renamed"});
   bool seen = false;
-  t.for_each_equal("product", std::int64_t{1}, [&](const Row& row) {
-    if (as_int(row[0]) == 1) {
+  t.for_each_equal("product", std::int64_t{1}, [&](const RowRef& row) {
+    if (as_int((*row)[0]) == 1) {
       seen = true;
-      EXPECT_EQ(as_text(row[2]), "renamed");  // in-place read via index pointer
+      EXPECT_EQ(as_text((*row)[2]), "renamed");  // the new version, via the index
     }
   });
   EXPECT_TRUE(seen);
@@ -211,7 +221,7 @@ TEST(TableIndexTest, EraseThenReinsertSamePkReindexesCleanly) {
   EXPECT_TRUE(t.find_equal("product", std::int64_t{0}).size() == 2);  // pks 2,6
   const auto rows = t.find_equal("product", std::int64_t{5});
   ASSERT_EQ(rows.size(), 1u);
-  EXPECT_EQ(as_text(rows[0][2]), "back");
+  EXPECT_EQ(as_text((*rows[0])[2]), "back");
 }
 
 TEST(TableIndexTest, IndexCreatedAfterMutationsMatchesScan) {
@@ -230,7 +240,10 @@ TEST(TableIndexTest, IndexCreatedAfterMutationsMatchesScan) {
     const auto via_index = t.find_equal("product", Value{v});
     const std::size_t ci = t.column_index("product");
     const auto via_scan = t.scan([&](const Row& r) { return r[ci] == Value{v}; });
-    EXPECT_EQ(via_index, via_scan) << "product " << v;
+    ASSERT_EQ(via_index.size(), via_scan.size()) << "product " << v;
+    for (std::size_t i = 0; i < via_index.size(); ++i) {
+      EXPECT_EQ(&*via_index[i], &*via_scan[i]) << "product " << v;  // the same version
+    }
   }
 }
 
@@ -247,6 +260,55 @@ TEST(TableIndexTest, FullRowUpdateValidatesColumnTypes) {
   const auto rows = t.find_equal("product", std::int64_t{1});
   EXPECT_EQ(rows.size(), 3u);
   EXPECT_EQ(as_text((*t.get(1))[2]), "n1");
+}
+
+TEST(TableIndexTest, HandlesTakenBeforeAWriteKeepTheirVersion) {
+  // Every read path hands out the row version current at the read. A write
+  // swaps in a new version (copy-on-write), so what a reader holds never
+  // changes under it; lookups after the write see the new rows.
+  Table t = indexed_table();
+  const RowRef got = t.get(1);
+  const std::vector<RowRef> found = t.find_equal("product", std::int64_t{1});  // pks 1,3,5
+  const std::vector<RowRef> scanned = t.scan([](const Row& r) { return as_int(r[0]) <= 2; });
+  std::vector<RowRef> visited;
+  t.for_each_equal("product", std::int64_t{1}, [&](const RowRef& r) { visited.push_back(r); });
+
+  t.update_column(1, "product", std::int64_t{7});      // indexed column
+  t.update_column(3, "name", std::string{"renamed"});  // unindexed column
+  t.update(2, Row{std::int64_t{2}, std::int64_t{9}, std::string{"moved"}});
+  EXPECT_TRUE(t.erase(5));
+
+  EXPECT_EQ(as_int((*got)[1]), 1);
+  ASSERT_EQ(scanned.size(), 2u);  // pks 1,2
+  EXPECT_EQ(as_int((*scanned[0])[1]), 1);
+  EXPECT_EQ(as_int((*scanned[1])[1]), 0);
+  EXPECT_EQ(as_text((*scanned[1])[2]), "n2");
+  auto expect_old_bucket = [](const std::vector<RowRef>& held) {
+    ASSERT_EQ(held.size(), 3u);
+    EXPECT_EQ(as_int((*held[0])[1]), 1);
+    EXPECT_EQ(as_text((*held[1])[2]), "n3");
+    EXPECT_EQ(as_text((*held[2])[2]), "n5");  // erased from the table, still held
+  };
+  expect_old_bucket(found);
+  expect_old_bucket(visited);
+
+  EXPECT_EQ(as_int((*t.get(1))[1]), 7);
+  EXPECT_EQ(as_text((*t.get(2))[2]), "moved");
+  EXPECT_FALSE(t.get(5));
+  const auto odd = t.find_equal("product", std::int64_t{1});
+  ASSERT_EQ(odd.size(), 1u);
+  EXPECT_EQ(as_text((*odd[0])[2]), "renamed");
+  EXPECT_EQ(t.find_equal("product", std::int64_t{7}).size(), 1u);
+  EXPECT_EQ(t.find_equal("product", std::int64_t{9}).size(), 1u);
+  EXPECT_EQ(t.find_equal("product", std::int64_t{0}).size(), 2u);  // pks 4,6
+}
+
+TEST(TableIndexTest, MovedTableKeepsItsIndex) {
+  Table source = indexed_table();
+  Table t = std::move(source);
+  t.update_column(1, "product", std::int64_t{0});
+  EXPECT_EQ(t.find_equal("product", std::int64_t{0}).size(), 4u);  // pks 1,2,4,6
+  EXPECT_EQ(as_text((*t.find_equal("product", std::int64_t{1}).front())[2]), "n3");
 }
 
 // --- query-cache keys ------------------------------------------------------------

@@ -28,6 +28,13 @@ Row item_row(std::int64_t id, std::int64_t product, std::string name, double pri
   return Row{id, product, std::move(name), price};
 }
 
+/// The row versions behind `rows`: equal lists hold the same shared rows.
+std::vector<const Row*> versions(const std::vector<RowRef>& rows) {
+  std::vector<const Row*> out;
+  for (const RowRef& r : rows) out.push_back(&*r);
+  return out;
+}
+
 // --- Table -------------------------------------------------------------------
 
 TEST(TableTest, InsertGetUpdateErase) {
@@ -35,7 +42,7 @@ TEST(TableTest, InsertGetUpdateErase) {
   t.insert(item_row(1, 10, "fish", 9.99));
   ASSERT_TRUE(t.contains(1));
   auto row = t.get(1);
-  ASSERT_TRUE(row.has_value());
+  ASSERT_TRUE(row);
   EXPECT_EQ(as_text((*row)[2]), "fish");
 
   t.update_column(1, "price", 12.5);
@@ -43,7 +50,7 @@ TEST(TableTest, InsertGetUpdateErase) {
 
   EXPECT_TRUE(t.erase(1));
   EXPECT_FALSE(t.erase(1));
-  EXPECT_FALSE(t.get(1).has_value());
+  EXPECT_FALSE(t.get(1));
 }
 
 TEST(TableTest, SchemaValidation) {
@@ -96,14 +103,14 @@ TEST(TableTest, ForEachEqualMatchesFindEqualWithAndWithoutIndex) {
   for (std::int64_t i = 0; i < 30; ++i) t.insert(item_row(i, i % 3, "it", 1.0));
 
   auto visit = [&](const Value& key) {
-    std::vector<Row> seen;
-    t.for_each_equal("product_id", key, [&](const Row& r) { seen.push_back(r); });
+    std::vector<const Row*> seen;
+    t.for_each_equal("product_id", key, [&](const RowRef& r) { seen.push_back(&*r); });
     return seen;
   };
   // Same rows, same (pk-ascending) order, on both the scan and index paths.
-  EXPECT_EQ(visit(std::int64_t{1}), t.find_equal("product_id", std::int64_t{1}));
+  EXPECT_EQ(visit(std::int64_t{1}), versions(t.find_equal("product_id", std::int64_t{1})));
   t.create_index("product_id");
-  EXPECT_EQ(visit(std::int64_t{1}), t.find_equal("product_id", std::int64_t{1}));
+  EXPECT_EQ(visit(std::int64_t{1}), versions(t.find_equal("product_id", std::int64_t{1})));
   EXPECT_TRUE(visit(std::int64_t{99}).empty());
 }
 
@@ -112,11 +119,12 @@ TEST(TableTest, ForEachEqualVisitsRowsInPlace) {
   t.create_index("product_id");
   t.insert(item_row(1, 7, "a", 1.0));
   t.insert(item_row(2, 7, "b", 1.0));
-  // The visited references are the stored rows themselves — the addresses
+  // The visited handles are the stored versions themselves — the addresses
   // are stable across visits, proving no per-visit copies are made.
   std::vector<const Row*> first, second;
-  t.for_each_equal("product_id", std::int64_t{7}, [&](const Row& r) { first.push_back(&r); });
-  t.for_each_equal("product_id", std::int64_t{7}, [&](const Row& r) { second.push_back(&r); });
+  t.for_each_equal("product_id", std::int64_t{7}, [&](const RowRef& r) { first.push_back(&*r); });
+  t.for_each_equal("product_id", std::int64_t{7},
+                   [&](const RowRef& r) { second.push_back(&*r); });
   ASSERT_EQ(first.size(), 2u);
   EXPECT_EQ(first, second);
   EXPECT_EQ(as_text((*first[0])[2]), "a");
@@ -133,7 +141,7 @@ TEST(TableTest, TextColumnIndexLookups) {
   EXPECT_EQ(t.find_equal("name", std::string("cat")).size(), 1u);
   EXPECT_TRUE(t.find_equal("name", std::string("dog")).empty());
   std::size_t visited = 0;
-  t.for_each_equal("name", std::string("fish"), [&](const Row&) { ++visited; });
+  t.for_each_equal("name", std::string("fish"), [&](const RowRef&) { ++visited; });
   EXPECT_EQ(visited, 2u);
 }
 
@@ -146,7 +154,7 @@ TEST(TableTest, IndexSurvivesRowStorageGrowth) {
   for (std::int64_t i = 1; i < 500; ++i) t.insert(item_row(i, i % 5, "fill", 1.0));
   auto rows = t.find_equal("product_id", std::int64_t{42});
   ASSERT_EQ(rows.size(), 1u);
-  EXPECT_EQ(as_text(rows[0][2]), "first");
+  EXPECT_EQ(as_text((*rows[0])[2]), "first");
 }
 
 TEST(TableTest, ScanPredicate) {
@@ -197,7 +205,7 @@ TEST(DatabaseTest, PkLookupHitAndMiss) {
   DbHarness h;
   auto hit = h.db.execute_immediate(Query::pk_lookup("item", 7));
   ASSERT_EQ(hit.rows.size(), 1u);
-  EXPECT_EQ(as_int(hit.rows[0][0]), 7);
+  EXPECT_EQ(as_int((*hit.rows[0])[0]), 7);
   auto miss = h.db.execute_immediate(Query::pk_lookup("item", 999));
   EXPECT_TRUE(miss.rows.empty());
 }
@@ -211,11 +219,12 @@ TEST(DatabaseTest, FinderReturnsMatches) {
 TEST(DatabaseTest, AggregateDispatch) {
   DbHarness h;
   h.db.register_aggregate("count_items", [](Database& db, const std::vector<Value>&) {
-    return std::vector<Row>{Row{static_cast<std::int64_t>(db.table("item").row_count())}};
+    return std::vector<RowRef>{
+        RowRef::make(Row{static_cast<std::int64_t>(db.table("item").row_count())})};
   });
   auto res = h.db.execute_immediate(Query::aggregate("count_items"));
   ASSERT_EQ(res.rows.size(), 1u);
-  EXPECT_EQ(as_int(res.rows[0][0]), 50);
+  EXPECT_EQ(as_int((*res.rows[0])[0]), 50);
   EXPECT_THROW(h.db.execute_immediate(Query::aggregate("nope")), std::invalid_argument);
 }
 

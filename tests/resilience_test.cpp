@@ -130,20 +130,20 @@ TEST(FailureTest, TopicRedeliversAfterPartitionHeals) {
 
 TEST(CacheRaceTest, StalePullCannotClobberNewerPush) {
   cache::ReadOnlyCache c{"Item"};
-  c.apply_push(1, db::Row{std::int64_t{1}, std::int64_t{99}}, /*version=*/5);
+  c.apply_push(1, db::RowRef::make(db::Row{std::int64_t{1}, std::int64_t{99}}), /*version=*/5);
   // A pull refresh that started before the write commits arrives late with
   // version 4: it must be rejected.
-  c.fill(1, db::Row{std::int64_t{1}, std::int64_t{11}}, /*version=*/4);
+  c.fill(1, db::RowRef::make(db::Row{std::int64_t{1}, std::int64_t{11}}), /*version=*/4);
   auto entry = c.get(1);
   ASSERT_NE(entry, nullptr);
-  EXPECT_EQ(db::as_int(entry->row[1]), 99);
+  EXPECT_EQ(db::as_int((*entry->row)[1]), 99);
   EXPECT_EQ(c.stale_fills_rejected(), 1u);
 }
 
 TEST(CacheRaceTest, QueryCacheFillIsVersionMonotonic) {
   cache::QueryCache qc;
-  qc.apply_push("k", {db::Row{std::int64_t{2}}}, 7);
-  qc.fill("k", {db::Row{std::int64_t{1}}}, 3);
+  qc.apply_push("k", {db::RowRef::make(db::Row{std::int64_t{2}})}, 7);
+  qc.fill("k", {db::RowRef::make(db::Row{std::int64_t{1}})}, 3);
   auto entry = qc.get("k");
   ASSERT_NE(entry, nullptr);
   EXPECT_EQ(entry->version, 7u);
@@ -493,7 +493,7 @@ struct DegradedWorld {
                    .cpu = Duration::zero(),
                    .body = [](comp::CallContext& ctx) -> Task<void> {
                      auto row = co_await ctx.read_entity("Item", ctx.arg_int(0));
-                     if (row) ctx.result.push_back(*row);
+                     if (row) ctx.result.push_back(std::move(row));
                    }});
     facade.method({.name = "buy",
                    .cpu = Duration::zero(),
@@ -549,7 +549,7 @@ TEST(DegradedModeTest, PartitionServesStaleReadsAndQueuesWrites) {
   EXPECT_TRUE(w.rt->write_queues_quiescent());
   // The queued write reached the master's table.
   auto row = w.db->table("item").get(2);
-  ASSERT_TRUE(row.has_value());
+  ASSERT_TRUE(row);
   EXPECT_DOUBLE_EQ(db::as_real((*row)[1]), 99.0);
 }
 
@@ -661,17 +661,17 @@ TEST(ShardFaultTest, ShardedAsyncRunConvergesEdgeReplicasUnderLoss) {
   EXPECT_GT(exp.network().messages_lost(), 0u);
   EXPECT_GT(exp.results().success_fraction(), 0.99);
 
-  const std::vector<db::Row> master =
+  const std::vector<db::RowRef> master =
       exp.database().table("inventory").scan([](const db::Row&) { return true; });
   ASSERT_FALSE(master.empty());
   std::size_t compared = 0;
   for (net::NodeId edge : exp.nodes().edge_servers) {
     cache::ReadOnlyCache& replica = exp.runtime().ro_cache(edge, "Inventory");
-    for (const db::Row& row : master) {
-      auto entry = replica.get(db::as_int(row[0]));
+    for (const db::RowRef& row : master) {
+      auto entry = replica.get(db::as_int((*row)[0]));
       if (entry == nullptr) continue;  // never read or pushed at this edge
       ++compared;
-      EXPECT_EQ(entry->row, row) << "edge " << edge.value() << " pk " << db::as_int(row[0]);
+      EXPECT_EQ(*entry->row, *row) << "edge " << edge.value() << " pk " << db::as_int((*row)[0]);
     }
   }
   EXPECT_GT(compared, 0u);  // the battery actually compared something

@@ -207,8 +207,8 @@ TEST(ShardPartitionTest, FanOutSlicesAccountForEveryRowAndByteOnce) {
     std::vector<std::size_t> expect_rows(shards, 0);
     net::Bytes payload = 0;
     for (const auto& row : res.rows) {
-      ++expect_rows[h.db->router().shard_of(db::as_int(row[0]))];
-      payload += db::wire_size(row);
+      ++expect_rows[h.db->router().shard_of(db::as_int((*row)[0]))];
+      payload += db::wire_size(*row);
     }
     std::size_t rows_total = 0;
     net::Bytes bytes_total = 0;
@@ -247,7 +247,10 @@ TEST(ShardPartitionTest, QueryResultsIndependentOfShardCount) {
     const db::QueryResult base = dbs[0]->db->execute_immediate(q);
     for (std::size_t d = 1; d < dbs.size(); ++d) {
       const db::QueryResult got = dbs[d]->db->execute_immediate(q);
-      ASSERT_EQ(got.rows, base.rows) << "query " << q.cache_key();
+      ASSERT_EQ(got.rows.size(), base.rows.size()) << "query " << q.cache_key();
+      for (std::size_t r = 0; r < got.rows.size(); ++r) {
+        ASSERT_EQ(*got.rows[r], *base.rows[r]) << "query " << q.cache_key() << " row " << r;
+      }
       EXPECT_EQ(got.affected, base.affected);
     }
   }

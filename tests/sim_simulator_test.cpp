@@ -450,6 +450,25 @@ TEST(FifoResourceTest, TwoServerHandOffsKeepArrivalOrder) {
   EXPECT_EQ(cpu.busy(), 0u);
 }
 
+TEST(FifoResourceTest, WaiterOrderHoldsWhileTheQueueNeverDrains) {
+  // 100 consumers queue at once behind one server: the queue stays
+  // non-empty until the last one, so the waiter buffer drops its served
+  // prefix mid-queue instead of resetting on a drain.
+  Simulator sim;
+  FifoResource cpu{sim, 1};
+  Log log;
+  Log expected;
+  for (int i = 0; i < 100; ++i) {
+    sim.spawn(consumer(sim, cpu, log, std::to_string(i), ms(1)));
+    expected.push_back(std::to_string(i) + "@" + std::to_string(i + 1));
+  }
+  EXPECT_EQ(cpu.queue_length(), 99u);
+  sim.run_until();
+  EXPECT_EQ(log, expected);
+  EXPECT_EQ(cpu.queue_length(), 0u);
+  EXPECT_EQ(cpu.busy(), 0u);
+}
+
 TEST(SimMutexTest, MutualExclusionFifo) {
   Simulator sim;
   SimMutex m{sim};
