@@ -100,7 +100,7 @@ int main() {
     db::JdbcClient jdbc{s.net, *s.database, s.main};
     double t = s.timed([](net::RmiTransport& rmi, db::JdbcClient& jdbc, Setup& s)
                            -> sim::Task<void> {
-      co_await rmi.call_dynamic(s.edge, s.main, 200, [&]() -> sim::Task<net::Bytes> {
+      co_await rmi.call(s.edge, s.main, 200, [&]() -> sim::Task<net::Bytes> {
         auto res = co_await jdbc.execute(
             db::Query::finder("product", "category_id", std::int64_t{3}));
         co_return res.wire_bytes();

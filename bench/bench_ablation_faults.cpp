@@ -2,7 +2,9 @@
 // per-link loss probability over a Pet Store run that also crash-restarts
 // one edge server mid-run, and compares the middleware resilience layer
 // (RMI retry/timeout/circuit breaker + degraded edge reads + queued writes)
-// against the seed behavior (single attempt, failover only).
+// against the seed behavior (single attempt, failover only). Exits nonzero
+// unless the repeated cell is bit-identical and the 2% cells bear out
+// DESIGN §8's claim.
 #include <functional>
 #include <iostream>
 #include <vector>
@@ -139,10 +141,25 @@ int main() {
   std::cout << "\nDeterminism (2% loss, resilience on, seed 7, two runs): "
             << (identical ? "identical" : "DIVERGED") << "\n";
 
+  // DESIGN §8's claim: at 2% per-link loss the policy holds at least 99.9%
+  // page success, where the seed behaviour (one attempt) stays below 95%.
+  double on2 = 0.0;
+  double off2 = 1.0;
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    if (cells[i].loss != 0.02) continue;
+    (cells[i].resilient ? on2 : off2) = outcomes[i].success;
+  }
+  const bool claim = on2 >= 0.999 && off2 < 0.95;
+  std::cout << "Claim (2% loss): success " << pct(on2) << " with the policy (>= 99.90%), "
+            << pct(off2) << " without (< 95.00%): " << (claim ? "holds" : "VIOLATED") << "\n";
+
   std::cout << "\nWith the policy off, every lost RMI message fails the whole page and\n"
             << "loss compounds per hop; the success rate collapses as loss grows. With\n"
             << "it on, per-call timeouts and retries absorb transient loss, the circuit\n"
             << "breaker turns a dead master into fast local failures, and the edges\n"
-            << "keep serving bounded-stale reads and queueing writes until redelivery.\n";
-  return identical ? 0 : 1;
+            << "keep serving bounded-stale reads. Every writing facade runs on the main\n"
+            << "server here, so no edge queues a write (queued writes stay 0); the\n"
+            << "queued-write path is covered by\n"
+            << "DegradedModeTest.PartitionServesStaleReadsAndQueuesWrites.\n";
+  return identical && claim ? 0 : 1;
 }

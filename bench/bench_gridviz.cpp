@@ -16,7 +16,6 @@ int main() {
   apps::gridviz::GridVizApp app;
   apps::AppDriver driver = app.driver();
   core::HarnessCalibration cal;
-  cal.testbed.db_colocated = true;
   cal.rmi.extra_rtt_prob = 0.5;
   cal.runtime.jms_accept = sim::ms(2);
 

@@ -220,7 +220,6 @@ int main() {
   WikiApp wiki;
   apps::AppDriver driver = wiki.driver();
   core::HarnessCalibration cal;
-  cal.testbed.db_colocated = true;
 
   std::vector<std::unique_ptr<core::Experiment>> keep;
   std::vector<core::ConfigResult> results;

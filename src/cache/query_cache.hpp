@@ -14,10 +14,10 @@ namespace mutsvc::cache {
 
 /// Edge-server cache of aggregate SQL query results (§4.4).
 ///
-/// Keys are `db::Query::cache_key()` strings. Invalidation is by exact key
-/// or by prefix (a write to item 7 invalidates every cached bid list for
-/// item 7 regardless of parameters). Refresh can be pull (drop, re-execute
-/// at the main server on next read) or push (the updater sends new rows).
+/// Keys are `db::Query::cache_key()` strings, and invalidation is by exact
+/// key (a write names the queries it affects). Refresh can be pull (drop,
+/// re-execute at the main server on next read) or push (the updater sends
+/// new rows).
 /// An entry holds the row versions it was filled with, so a hit copies
 /// handles, not rows.
 class QueryCache {
@@ -64,22 +64,6 @@ class QueryCache {
 
   void invalidate(const std::string& key) {
     if (entries_.erase(key) > 0) ++invalidations_;
-  }
-
-  /// Drops every entry whose key starts with `prefix`.
-  std::size_t invalidate_prefix(const std::string& prefix) {
-    std::size_t dropped = 0;
-    // Order-independent sweep: every matching entry is erased and counted.  // simlint:allow(unordered-iter)
-    for (auto it = entries_.begin(); it != entries_.end();) {
-      if (it->first.starts_with(prefix)) {
-        it = entries_.erase(it);
-        ++dropped;
-      } else {
-        ++it;
-      }
-    }
-    invalidations_ += dropped;
-    return dropped;
   }
 
   void clear() { entries_.clear(); }

@@ -320,7 +320,7 @@ sim::Task<std::uint64_t> Runtime::transfer_replica_state(net::NodeId from, net::
     if (snap.empty()) continue;
     net::Bytes bytes = 64;
     for (const auto& [pk, e] : snap) bytes += db::wire_size(*e.row) + 16;
-    co_await update_rmi_->call_dynamic(from, to, bytes, [&]() -> sim::Task<net::Bytes> {
+    co_await update_rmi_->call(from, to, bytes, [&]() -> sim::Task<net::Bytes> {
       co_await topo_.node(to).cpu->consume(cfg_.apply_update);
       cache::ReadOnlyCache& dst = ro_cache(to, entity);
       // apply_push, not fill: version-monotonic in both directions — a
@@ -338,7 +338,7 @@ sim::Task<std::uint64_t> Runtime::transfer_replica_state(net::NodeId from, net::
       for (const auto& [key, e] : snap) {
         bytes += rows_bytes(e.rows) + static_cast<net::Bytes>(key.size());
       }
-      co_await update_rmi_->call_dynamic(from, to, bytes, [&]() -> sim::Task<net::Bytes> {
+      co_await update_rmi_->call(from, to, bytes, [&]() -> sim::Task<net::Bytes> {
         co_await topo_.node(to).cpu->consume(cfg_.apply_update);
         cache::QueryCache& dst = query_cache(to);
         for (const auto& [key, e] : snap) dst.apply_push(key, e.rows, e.version);
@@ -609,43 +609,29 @@ sim::Task<CallResult> Runtime::call_from(net::NodeId caller, MethodRef callee, C
   }
 
   const net::Bytes args_size = method.args_bytes + values_bytes(args.view());
-  if (target == caller) {
-    // The caller's own stale view dispatched locally to the retired site:
-    // one forwarding RMI straight to the new authority.
-    co_await rmi_.call_dynamic(
-        caller, exec,
-        args_size,
+  // The one server-side body: dispatch at the authority, reply with the
+  // result. The transport owns the wire span + exclusive rmi-wire
+  // accounting; the dispatched body opens child spans of its own.
+  auto serve = [&]() -> sim::Task<net::Bytes> {
+    co_await dispatch(exec, comp, method, std::move(args), &out.rows, trace, session_key);
+    co_return method.result_bytes + rows_bytes(out.rows);
+  };
+  if (target == caller || target == exec) {
+    // Straight to the authority — also when the caller's own stale view
+    // dispatched locally to the retired site.
+    co_await rmi_.call(caller, exec, args_size, serve, trace);
+  } else {
+    // Straggler forwarding: the old site relays the call to the new
+    // authority with a second RMI hop, paying the real double-hop cost of a
+    // not-yet-converged view.
+    co_await rmi_.call(
+        caller, target, args_size,
         [&]() -> sim::Task<net::Bytes> {
-          co_await dispatch(exec, comp, method, std::move(args), &out.rows, trace, session_key);
+          co_await rmi_.call(target, exec, args_size, serve, trace);
           co_return method.result_bytes + rows_bytes(out.rows);
         },
         trace);
-    co_return out;
   }
-
-  // The transport owns the wire span + exclusive rmi-wire accounting; the
-  // dispatched body opens child spans of its own.
-  co_await rmi_.call_dynamic(
-      caller, target, args_size,
-      [&]() -> sim::Task<net::Bytes> {
-        if (exec != target) {
-          // Straggler forwarding: the old site relays the call to the new
-          // authority with a second RMI hop, paying the real double-hop
-          // cost of a not-yet-converged view.
-          co_await rmi_.call_dynamic(
-              target, exec, args_size,
-              [&]() -> sim::Task<net::Bytes> {
-                co_await dispatch(exec, comp, method, std::move(args), &out.rows, trace,
-                                  session_key);
-                co_return method.result_bytes + rows_bytes(out.rows);
-              },
-              trace);
-        } else {
-          co_await dispatch(target, comp, method, std::move(args), &out.rows, trace, session_key);
-        }
-        co_return method.result_bytes + rows_bytes(out.rows);
-      },
-      trace);
   co_return out;
 }
 
@@ -734,7 +720,7 @@ sim::Task<db::RowRef> Runtime::read_entity_impl(net::NodeId node, EntityId entit
     try {
       // The transport bills the exclusive wire time; the server-side body
       // accounts its own window under kJdbc, keeping the totals additive.
-      co_await rmi_.call_dynamic(
+      co_await rmi_.call(
           node, primary, 64,
           [&]() -> sim::Task<net::Bytes> {
             const sim::SimTime w0 = sim_.now();
@@ -790,7 +776,7 @@ sim::Task<db::RowRef> Runtime::read_entity_impl(net::NodeId node, EntityId entit
   if (node == primary) co_return co_await read_at_primary();
 
   db::RowRef fetched;
-  co_await rmi_.call_dynamic(
+  co_await rmi_.call(
       node, primary, 64,
       [&]() -> sim::Task<net::Bytes> {
         fetched = co_await read_at_primary();
@@ -839,7 +825,7 @@ sim::Task<db::QueryResult> Runtime::query_at_main(net::NodeId from, db::Query q,
   // One façade RMI to the main server, which runs the query next to the DB.
   // The transport runs the body at most once, so it may consume `q`.
   db::QueryResult res;
-  co_await rmi_.call_dynamic(
+  co_await rmi_.call(
       from, primary, 128,
       [&]() -> sim::Task<net::Bytes> {
         const sim::SimTime w0 = sim_.now();
@@ -884,7 +870,7 @@ sim::Task<void> Runtime::write_impl(CallContext* ctx, net::NodeId node, EntityId
     // inputs: a failed attempt must leave them intact for the queue path.)
     bool ok = false;
     try {
-      co_await rmi_.call_dynamic(
+      co_await rmi_.call(
           node, primary, wire,
           [&]() -> sim::Task<net::Bytes> {
             co_await write_impl(nullptr, primary, entity, write, affected_queries, trace);
@@ -1095,7 +1081,7 @@ sim::Task<void> Runtime::push_blocking(cache::UpdateBatch batch, TraceSink* trac
     const sim::SimTime e0 = sim_.now();
     try {
       ++blocking_pushes_;
-      co_await update_rmi_->call_dynamic(primary, edge, bytes, [&]() -> sim::Task<net::Bytes> {
+      co_await update_rmi_->call(primary, edge, bytes, [&]() -> sim::Task<net::Bytes> {
         co_await apply_batch(edge, batch);
         co_return 16;  // ack
       });

@@ -13,6 +13,10 @@ namespace mutsvc::core {
 /// (apps::petstore::Calibration / apps::rubis::Calibration); this struct
 /// holds the infrastructure-level constants shared by all pages.
 struct HarnessCalibration {
+  /// An Experiment takes the database placement (`db_colocated`) from the
+  /// application's driver, not from here: §3.1 ties it to the application
+  /// (Oracle on its own workstation for Pet Store, MySQL on the main server
+  /// for RUBiS).
   TestbedConfig testbed;
   net::HttpConfig http;    // keep-alive off (§4.1)
   net::RmiConfig rmi;      // extra round trips + DGC traffic (§4.2)
@@ -30,7 +34,6 @@ struct HarnessCalibration {
 /// JMS provider whose publish path costs tens of milliseconds.
 [[nodiscard]] inline HarnessCalibration petstore_calibration() {
   HarnessCalibration cal;
-  cal.testbed.db_colocated = false;
   cal.rmi.extra_rtt_prob = 0.5;       // §4.2: RMI ping / DGC round trips
   cal.rmi.dgc_traffic_factor = 2.0;   // §4.3: >half of RMI traffic is DGC
   cal.runtime.jdbc.fetch_size = 8;
@@ -42,7 +45,6 @@ struct HarnessCalibration {
 /// main server (§3.1); a much lighter container generation.
 [[nodiscard]] inline HarnessCalibration rubis_calibration() {
   HarnessCalibration cal;
-  cal.testbed.db_colocated = true;
   cal.rmi.extra_rtt_prob = 0.5;
   cal.rmi.dgc_traffic_factor = 2.0;
   cal.runtime.jdbc.fetch_size = 16;

@@ -15,7 +15,8 @@ struct TestbedConfig {
   double lan_bandwidth_bps = 100e6;
   std::size_t server_cpus = 2;  // dual-processor P-III workstations
   /// True: the database runs on the main app-server node (RUBiS);
-  /// false: on its own workstation on the main LAN (Pet Store).
+  /// false: on its own workstation on the main LAN (Pet Store). An
+  /// Experiment sets it from AppDriver::db_colocated.
   bool db_colocated = false;
   /// Number of edge servers (the paper's testbed has two); each edge gets
   /// its own co-located client group. Used by the scaling experiments.

@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "sim/future.hpp"
-
 namespace mutsvc::db {
 
 Table& Database::create_table(std::string name, std::vector<Column> columns) {
@@ -30,7 +28,6 @@ void Database::register_aggregate(std::string name, AggregateFn fn) {
 }
 
 QueryResult Database::execute_immediate(const Query& q) {
-  ++executed_;
   QueryResult res;
   switch (q.kind) {
     case QueryKind::kPkLookup: {
@@ -127,34 +124,6 @@ std::vector<Database::ShardSlice> Database::partition_result(const QueryResult& 
   }
   for (ShardSlice& s : slices) s.bytes += 16;  // per-shard result envelope
   return slices;
-}
-
-sim::Task<void> Database::consume_shard(std::size_t shard, Query q, std::size_t rows) {
-  co_await topo_.node(homes_.at(shard)).cpu->consume(cost_of(q, rows));
-}
-
-sim::Task<void> Database::consume_fanout(Query q, std::vector<ShardSlice> slices) {
-  // Every shard scans its own partition concurrently: each pays the
-  // per-kind base plus the per-row cost of its slice, so the fan-out's
-  // latency is governed by the largest slice while the *total* service
-  // demand per shard node shrinks as shards are added.
-  std::vector<sim::Task<void>> legs;
-  legs.reserve(slices.size());
-  for (std::size_t s = 0; s < slices.size(); ++s) {
-    legs.push_back(consume_shard(s, q, slices[s].rows));
-  }
-  co_await sim::when_all(topo_.simulator(), std::move(legs));
-}
-
-sim::Task<QueryResult> Database::execute(Query q) {
-  QueryResult res = execute_immediate(q);
-  if (std::optional<std::size_t> shard = single_shard(q)) {
-    co_await topo_.node(homes_[*shard]).cpu->consume(cost_of(q, res.rows.size()));
-    co_return res;
-  }
-  ++cross_shard_;
-  co_await consume_fanout(q, partition_result(res));
-  co_return res;
 }
 
 }  // namespace mutsvc::db

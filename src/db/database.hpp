@@ -12,7 +12,7 @@
 #include "db/shard.hpp"
 #include "db/table.hpp"
 #include "net/topology.hpp"
-#include "sim/task.hpp"
+#include "sim/resource.hpp"
 #include "sim/time.hpp"
 
 namespace mutsvc::db {
@@ -37,14 +37,15 @@ struct DbCostModel {
 /// The relational database tier (Oracle/MySQL stand-in, §3.1) — one logical
 /// database served by one or more shard nodes.
 ///
-/// Tables stay logically unified (queries see every row, so results are
-/// independent of the shard count), while service time and result traffic
-/// are attributed to the shard nodes that own the touched rows: the
-/// ShardRouter hash-partitions each table's primary-key space, primary-key
-/// operations run entirely on the owning shard, and scan-class queries
-/// (finders, aggregates, keyword searches) fan out to every shard in
-/// parallel, each shard paying for its slice of the result. With one shard
-/// this collapses exactly to the paper's single-RDBMS testbed.
+/// Storage plus routing: tables stay logically unified (queries see every
+/// row, so results are independent of the shard count), and the
+/// ShardRouter hash-partitions each table's primary-key space so that
+/// primary-key operations belong to the owning shard while scan-class
+/// queries (finders, aggregates, keyword searches) span every shard, each
+/// shard owning its slice of the result. A statement spends simulated time
+/// in JdbcClient, whose legs bill each shard's CPUs through consume_shard.
+/// With one shard this collapses exactly to the paper's single-RDBMS
+/// testbed.
 class Database {
  public:
   using AggregateFn = std::function<std::vector<RowRef>(Database&, const std::vector<Value>&)>;
@@ -75,12 +76,8 @@ class Database {
   /// Registers a named aggregate query (the stand-in for app-specific SQL).
   void register_aggregate(std::string name, AggregateFn fn);
 
-  /// Executes with simulated service time on the owning shard's CPUs —
-  /// all shards in parallel for fan-out kinds.
-  /// NOTE: coroutine — `q` by value (lazy task must own its query).
-  [[nodiscard]] sim::Task<QueryResult> execute(Query q);
-
-  /// Executes instantly (no simulated cost) — for population and tests.
+  /// Executes instantly, with no simulated cost: JdbcClient's legs read
+  /// through this, and population and tests call it directly.
   QueryResult execute_immediate(const Query& q);
 
   /// The shard that exclusively serves `q` (primary-key kinds route by the
@@ -102,10 +99,12 @@ class Database {
   /// The service demand `q` would incur given its result size.
   [[nodiscard]] sim::Duration cost_of(const Query& q, std::size_t result_rows) const;
 
-  /// Charges one shard the service demand of its slice of `q` — the JDBC
-  /// scatter-gather legs bill each shard's CPU through this.
-  /// NOTE: coroutine — parameters by value.
-  [[nodiscard]] sim::Task<void> consume_shard(std::size_t shard, Query q, std::size_t rows);
+  /// Awaitable that holds one of `shard`'s CPUs for the service demand of
+  /// `q` over `rows` result rows — how a JDBC leg bills the shard it runs
+  /// on. The demand is computed here, so `q` need not outlive the call.
+  [[nodiscard]] auto consume_shard(std::size_t shard, const Query& q, std::size_t rows) {
+    return topo_.node(homes_.at(shard)).cpu->consume(cost_of(q, rows));
+  }
 
   /// Allocates the next primary key for `table` (sequence stand-in).
   [[nodiscard]] std::int64_t allocate_id(const std::string& name) {
@@ -113,16 +112,9 @@ class Database {
     return ++it->second;
   }
 
-  [[nodiscard]] std::uint64_t queries_executed() const { return executed_; }
   [[nodiscard]] std::uint64_t writes_executed() const { return writes_; }
-  /// Logical statements that fanned out to more than one shard.
-  [[nodiscard]] std::uint64_t cross_shard_queries() const { return cross_shard_; }
 
  private:
-  /// Charges every shard its slice of the fan-out service demand, in
-  /// parallel. Accepts the slices by value (coroutine).
-  [[nodiscard]] sim::Task<void> consume_fanout(Query q, std::vector<ShardSlice> slices);
-
   net::Topology& topo_;
   std::vector<net::NodeId> homes_;
   DbCostModel cost_;
@@ -130,9 +122,7 @@ class Database {
   std::unordered_map<std::string, std::unique_ptr<Table>> tables_;
   std::unordered_map<std::string, AggregateFn> aggregates_;
   std::unordered_map<std::string, std::int64_t> sequences_;
-  std::uint64_t executed_ = 0;
   std::uint64_t writes_ = 0;
-  std::uint64_t cross_shard_ = 0;
 };
 
 }  // namespace mutsvc::db

@@ -26,13 +26,15 @@ struct JdbcConfig {
 
 /// JDBC client bound to one (client node, database) pair.
 ///
-/// Wire behaviour per statement and shard: [connection open: one round
-/// trip, skipped when a pooled connection to that shard is available] +
-/// query round trip carrying the first fetch batch + one extra round trip
-/// per additional fetch batch. Connections pool per shard. A statement that
-/// only touches one shard (primary-key kinds; everything with one shard)
-/// talks to that shard's node alone; scan-class statements scatter to every
-/// shard in parallel and gather the merged result deterministically.
+/// Where a statement spends simulated time. Wire behaviour per statement
+/// and shard (one leg): [connection open: one round trip, skipped when a
+/// pooled connection to that shard is available] + query round trip
+/// carrying the first fetch batch, with the service time on the shard's
+/// CPUs in between + one extra round trip per additional fetch batch.
+/// Connections pool per shard. A statement that only touches one shard
+/// (primary-key kinds; everything with one shard) runs one leg against
+/// that shard's node; scan-class statements scatter one leg to every shard
+/// in parallel and gather the merged result deterministically.
 class JdbcClient {
  public:
   JdbcClient(net::Network& net, Database& db, net::NodeId client, JdbcConfig cfg = {})
@@ -52,18 +54,16 @@ class JdbcClient {
   [[nodiscard]] std::uint64_t statements() const { return statements_; }
   [[nodiscard]] std::uint64_t connections_opened() const { return connections_opened_; }
   [[nodiscard]] std::uint64_t fetch_round_trips() const { return fetch_round_trips_; }
-  /// Statements that scattered to more than one shard.
-  [[nodiscard]] std::uint64_t cross_shard_statements() const { return cross_shard_statements_; }
   [[nodiscard]] const JdbcConfig& config() const { return cfg_; }
 
  private:
-  /// Runs `q` entirely against one shard (the pre-sharding wire sequence).
-  [[nodiscard]] sim::Task<QueryResult> execute_at_shard(Query q, std::size_t shard);
-
-  /// One scatter-gather leg: connection + query + this shard's share of the
-  /// service time and result traffic.
-  [[nodiscard]] sim::Task<void> shard_leg(std::size_t shard, Query q,
-                                          Database::ShardSlice slice);
+  /// One leg of `q` against `shard`: pooled-or-new connection, query hop,
+  /// service time on the shard's CPUs, fetch batches, pool release. With a
+  /// null `slice` the leg reads the table into `res` once the query has
+  /// crossed the wire and ships all of it (a single-shard statement); a
+  /// scatter leg ships its `slice` of a result read before the legs start.
+  [[nodiscard]] sim::Task<void> leg(std::size_t shard, const Query& q, QueryResult& res,
+                                    const Database::ShardSlice* slice);
 
   /// Ships `bytes` of result rows back in fetch batches.
   [[nodiscard]] sim::Task<void> fetch_result(net::NodeId server, std::size_t rows,
@@ -77,7 +77,6 @@ class JdbcClient {
   std::uint64_t statements_ = 0;
   std::uint64_t connections_opened_ = 0;
   std::uint64_t fetch_round_trips_ = 0;
-  std::uint64_t cross_shard_statements_ = 0;
 };
 
 }  // namespace mutsvc::db

@@ -12,10 +12,6 @@
 
 namespace mutsvc::net {
 
-/// Distribution of the extra per-hop latency injected on top of
-/// `Link::latency` (wide-area jitter).
-enum class JitterKind { kNone, kUniform, kExponential };
-
 /// Declarative description of every fault a run should experience.
 ///
 /// All time fields are offsets from `SimTime::origin()`, so a plan is
@@ -33,19 +29,7 @@ struct FaultPlan {
   };
   std::vector<LinkLoss> link_loss;
 
-  JitterKind jitter = JitterKind::kNone;
-  /// Mean extra latency per hop (uniform draws from [0, 2*mean]).
-  sim::Duration jitter_mean = sim::Duration::zero();
-
   // --- scheduled faults ---------------------------------------------------
-  /// Takes the duplex link a<->b down at `down_at` for `down_for`.
-  struct LinkFlap {
-    NodeId a, b;
-    sim::Duration down_at;
-    sim::Duration down_for;
-  };
-  std::vector<LinkFlap> flaps;
-
   /// Crashes `node` at `crash_at`; it restarts `down_for` later with cold
   /// caches (the restart listener lets the runtime drop that node's
   /// ReadOnlyCache / QueryCache contents).
@@ -65,27 +49,17 @@ struct FaultPlan {
   };
   std::vector<Partition> partitions;
 
-  // --- random link flaps --------------------------------------------------
-  /// Poisson rate of spontaneous duplex-link flaps across the whole
-  /// topology; each flap lasts Exp(flap_mean_down).
-  double random_flap_rate_per_sec = 0.0;
-  sim::Duration random_flap_mean_down = sim::sec(5);
-  /// Random flapping stops at this offset (zero = never starts).
-  sim::Duration random_flap_until = sim::Duration::zero();
-
   [[nodiscard]] bool empty() const {
-    return loss_prob <= 0.0 && link_loss.empty() && jitter == JitterKind::kNone &&
-           flaps.empty() && crashes.empty() && partitions.empty() &&
-           random_flap_rate_per_sec <= 0.0;
+    return loss_prob <= 0.0 && link_loss.empty() && crashes.empty() && partitions.empty();
   }
 };
 
 /// Seeded, deterministic driver of a `FaultPlan`.
 ///
-/// Stochastic draws (loss, jitter, random flaps) come from named streams
-/// forked off the simulator's root RNG, so the same seed and plan always
-/// produce the same fault sequence. The injector owns the scheduled state
-/// transitions; `Network::deliver` consults it per hop for loss and jitter.
+/// Loss draws come from a named stream forked off the simulator's root RNG,
+/// so the same seed and plan always produce the same fault sequence. The
+/// injector owns the scheduled state transitions (crashes, partitions);
+/// `Network::deliver` consults it per hop for loss.
 class FaultInjector {
  public:
   FaultInjector(sim::Simulator& sim, Topology& topo, FaultPlan plan);
@@ -93,8 +67,8 @@ class FaultInjector {
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
 
-  /// Schedules every planned flap, crash, and partition, and starts the
-  /// random-flap process. Call once, before the run.
+  /// Schedules every planned crash and partition. Call once, before the
+  /// run.
   void arm();
 
   /// Invoked with the node id when a crashed node restarts (cache re-warm
@@ -104,35 +78,23 @@ class FaultInjector {
   /// One message is about to traverse `link`: does it get dropped?
   [[nodiscard]] bool lose_message(const Link& link);
 
-  /// Extra latency for one traversal of `link`.
-  [[nodiscard]] sim::Duration jitter(const Link& link);
-
   // --- accounting ---------------------------------------------------------
-  [[nodiscard]] std::uint64_t scheduled_flaps() const { return flaps_; }
-  [[nodiscard]] std::uint64_t random_flaps() const { return random_flaps_; }
   [[nodiscard]] std::uint64_t crashes() const { return crashes_; }
   [[nodiscard]] std::uint64_t restarts() const { return restarts_; }
-  [[nodiscard]] std::uint64_t partitions_cut() const { return partitions_; }
   [[nodiscard]] const FaultPlan& plan() const { return plan_; }
 
  private:
   [[nodiscard]] double loss_prob_for(const Link& link) const;
   void set_partition(const std::vector<NodeId>& members, bool cut);
-  [[nodiscard]] sim::Task<void> random_flapper();
 
   sim::Simulator& sim_;
   Topology& topo_;
   FaultPlan plan_;
   sim::RngStream loss_rng_;
-  sim::RngStream jitter_rng_;
-  sim::RngStream flap_rng_;
   std::function<void(NodeId)> on_restart_;
 
-  std::uint64_t flaps_ = 0;
-  std::uint64_t random_flaps_ = 0;
   std::uint64_t crashes_ = 0;
   std::uint64_t restarts_ = 0;
-  std::uint64_t partitions_ = 0;
 };
 
 }  // namespace mutsvc::net

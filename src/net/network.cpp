@@ -27,8 +27,7 @@ sim::Task<void> Network::deliver(NodeId from, NodeId to, Bytes size) {
     // a lost message still occupied the serializer and the pipe.
     const bool lost = faults_ != nullptr && faults_->lose_message(*link);
     co_await link->serializer->consume(link->transmission_time(size));
-    sim::Duration hop_latency = link->latency + per_hop_overhead_;
-    if (faults_ != nullptr) hop_latency += faults_->jitter(*link);
+    const sim::Duration hop_latency = link->latency + per_hop_overhead_;
     // The propagation wait carries the delivery into the destination
     // node's lookahead domain (DESIGN §15): the events it schedules on
     // arrival are owned by that domain.

@@ -33,8 +33,8 @@ class Network {
   /// when the fault injector drops the message.
   [[nodiscard]] sim::Task<void> deliver(NodeId from, NodeId to, Bytes size);
 
-  /// Installs a fault injector consulted per hop for message loss and
-  /// latency jitter. Null detaches it. The injector must outlive all
+  /// Installs a fault injector consulted per hop for message loss. Null
+  /// detaches it. The injector must outlive all
   /// in-flight deliveries.
   void set_fault_injector(FaultInjector* faults) { faults_ = faults; }
   [[nodiscard]] FaultInjector* fault_injector() const { return faults_; }

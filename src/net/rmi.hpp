@@ -56,21 +56,17 @@ class RmiTransport {
   RmiTransport& operator=(const RmiTransport&) = delete;
 
   /// One remote invocation: marshal + request, server-side work
-  /// (caller-provided), reply. Local (same-node) calls are free at this
-  /// layer; the container adds local dispatch cost. With a TraceSink the
-  /// transport opens an inclusive caller -> callee span around the whole
-  /// call (retries, backoff and timeout waits included) and accounts the
-  /// exclusive wire time — elapsed minus server work — under
-  /// SpanKind::kRmiWire; spans opened by the server work become children.
-  [[nodiscard]] sim::Task<void> call(NodeId caller, NodeId callee, Bytes args, Bytes result,
-                                     std::function<sim::Task<void>()> server_work,
+  /// (caller-provided; it returns the reply payload size, which is only
+  /// known once the work has run), reply. Local (same-node) calls are free
+  /// at this layer; the container adds local dispatch cost. With a
+  /// TraceSink the transport opens an inclusive caller -> callee span
+  /// around the whole call (retries, backoff and timeout waits included)
+  /// and accounts the exclusive wire time — elapsed minus server work —
+  /// under SpanKind::kRmiWire; spans opened by the server work become
+  /// children.
+  [[nodiscard]] sim::Task<void> call(NodeId caller, NodeId callee, Bytes args,
+                                     std::function<sim::Task<Bytes>()> server_work,
                                      stats::TraceSink* trace = nullptr);
-
-  /// Like `call`, but the reply payload size is produced by the server-side
-  /// work (result sets whose size is only known after execution).
-  [[nodiscard]] sim::Task<void> call_dynamic(NodeId caller, NodeId callee, Bytes args,
-                                             std::function<sim::Task<Bytes>()> server_work,
-                                             stats::TraceSink* trace = nullptr);
 
   /// One stub-acquisition exchange (JNDI lookup or initial remote-stub
   /// creation). Costs one round trip.
@@ -125,19 +121,10 @@ class RmiTransport {
   [[nodiscard]] std::uint64_t breaker_closes() const;
 
  private:
-  /// One wire attempt (extra-RTT draw, request, server work, reply).
+  /// One wire attempt: extra-RTT draw, request, `server_work` (awaited
+  /// once the request has arrived), reply.
   [[nodiscard]] sim::Task<void> attempt(NodeId caller, NodeId callee, Bytes args,
-                                        std::function<sim::Task<Bytes>()> server_work);
-
-  /// Resilient envelope shared by call/call_dynamic.
-  [[nodiscard]] sim::Task<void> do_call(NodeId caller, NodeId callee, Bytes args,
-                                        std::function<sim::Task<Bytes>()> server_work);
-
-  /// do_call wrapped in the span + exclusive-wire accounting (no-op sink ->
-  /// plain do_call).
-  [[nodiscard]] sim::Task<void> traced_call(NodeId caller, NodeId callee, Bytes args,
-                                            std::function<sim::Task<Bytes>()> server_work,
-                                            stats::TraceSink* trace);
+                                        sim::Task<Bytes> server_work);
 
   [[nodiscard]] sim::Duration backoff_delay(NodeId caller, int attempt_no);
 

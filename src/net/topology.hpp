@@ -111,7 +111,7 @@ class Topology {
   }
 
   /// Every directed link, in creation order (duplex pairs are adjacent).
-  /// Used by the fault injector to pick flap victims and cut partitions.
+  /// Used by the fault injector to cut partitions.
   [[nodiscard]] std::vector<Link*> all_links();
 
   /// Marks routes stale after direct `Link::up` manipulation.

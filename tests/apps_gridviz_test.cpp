@@ -121,7 +121,6 @@ TEST(GridVizSessionTest, OperatorSteersTheProbesDataset) {
 TEST(GridVizExperimentTest, LadderShapesHold) {
   GridVizApp app;
   core::HarnessCalibration cal;
-  cal.testbed.db_colocated = true;
 
   auto run = [&](core::ConfigLevel level) {
     core::ExperimentSpec spec;

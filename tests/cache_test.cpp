@@ -230,15 +230,6 @@ TEST(QueryCacheTest, InvalidateMissingIsNotCounted) {
   EXPECT_EQ(qc.invalidations(), 0u);
 }
 
-TEST(QueryCacheTest, PrefixInvalidation) {
-  QueryCache qc;
-  qc.fill("finder:bids:item:7#a", {}, 1);
-  qc.fill("finder:bids:item:7#b", {}, 1);
-  qc.fill("finder:bids:item:8", {}, 1);
-  EXPECT_EQ(qc.invalidate_prefix("finder:bids:item:7"), 2u);
-  EXPECT_TRUE(qc.contains("finder:bids:item:8"));
-}
-
 TEST(QueryCacheTest, PushRefreshReplacesRows) {
   QueryCache qc;
   qc.fill("k", {row(1, 1.0)}, 1);

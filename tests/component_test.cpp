@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "component/binding.hpp"
 #include "component/deployment.hpp"
 #include "component/kind.hpp"
 #include "component/model.hpp"
@@ -216,6 +217,50 @@ TEST(RuntimeTest, RemoteInvocationPaysWanRoundTrip) {
   }(rt, w, out));
   EXPECT_NEAR(d2.as_millis(), 200.0, 2.0);
   EXPECT_EQ(rt.rmi().stub_exchanges(), 1u);
+}
+
+TEST(RuntimeTest, StaleViewsReachTheAuthorityInOneOrTwoRmiHops) {
+  // Echo moves main -> edge1 with no participants: until notify_delay
+  // passes, every view still routes to main, the retired site.
+  World w;
+  std::vector<NodeId> ran_at;
+  w.app.define("Echo", ComponentKind::kStatelessSessionBean)
+      .method({.name = "ping",
+               .cpu = Duration::zero(),
+               .body = [&ran_at](CallContext& ctx) -> Task<void> {
+                 ran_at.push_back(ctx.node());
+                 co_return;
+               }});
+  DeploymentPlan plan = w.base_plan();
+  plan.place("Echo", w.main);
+  plan.enable(Feature::kStubCaching);
+  Runtime& rt = w.make_runtime(std::move(plan));
+  BindingTable bindings{rt.plan()};
+  bindings.flip("Echo", {w.edge1}, w.sim.now(), sim::sec(10), {});
+  rt.set_binding_table(&bindings);
+  auto ping_from = [&](NodeId caller) {
+    return w.timed([](Runtime& rt, NodeId caller) -> Task<void> {
+      (void)co_await rt.invoke(caller, "Echo", "ping");
+    }(rt, caller));
+  };
+
+  // The old site's own call dispatches locally to itself, then goes
+  // straight to the authority: one RMI hop.
+  const Duration own = ping_from(w.main);
+  EXPECT_NEAR(own.as_millis(), 200.0, 2.0);
+  EXPECT_EQ(rt.rmi().remote_calls(), 1u);
+  EXPECT_EQ(rt.rmi().stub_exchanges(), 0u);
+  EXPECT_EQ(rt.forwarded_calls(), 1u);
+
+  // Another edge's stale view picks main: a stub exchange with main, then
+  // main relays to edge1 — two RMI hops.
+  const Duration relayed = ping_from(w.edge2);
+  EXPECT_NEAR(relayed.as_millis(), 600.0, 2.0);
+  EXPECT_EQ(rt.rmi().remote_calls(), 3u);
+  EXPECT_EQ(rt.rmi().stub_exchanges(), 1u);
+  EXPECT_EQ(rt.forwarded_calls(), 2u);
+  EXPECT_EQ(rt.late_stragglers(), 0u);
+  EXPECT_EQ(ran_at, (std::vector<NodeId>{w.edge1, w.edge1}));
 }
 
 TEST(RuntimeTest, WithoutStubCachingEveryCallPaysLookup) {

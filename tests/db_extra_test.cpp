@@ -135,7 +135,7 @@ TEST(DbExtraTest, DbCpuStaysUnderPaperBoundDuringQueryStorm) {
   // 30 pk lookups/s for 100s at 0.4ms each on 2 CPUs => ~0.6% utilization.
   f.sim.spawn([](Fixture& f) -> Task<void> {
     for (int i = 0; i < 3000; ++i) {
-      (void)co_await f.db->execute(Query::pk_lookup("orders", 10));
+      co_await f.db->consume_shard(0, Query::pk_lookup("orders", 10), 1);
       co_await f.sim.wait(ms(33));
     }
   }(f));

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "db/database.hpp"
 #include "db/jdbc.hpp"
 #include "db/query.hpp"
@@ -248,11 +251,17 @@ TEST(DatabaseTest, WritesMutateAndCount) {
 }
 
 TEST(DatabaseTest, ExecuteConsumesServiceTime) {
+  // A statement leg holds its shard's CPU for the query's service demand.
   DbHarness h;
   Duration d = h.timed([](DbHarness& h) -> Task<void> {
-    (void)co_await h.db.execute(Query::pk_lookup("item", 1));
+    co_await h.db.consume_shard(0, Query::pk_lookup("item", 1), 1);
   }(h));
   EXPECT_EQ(d, h.db.cost_model().pk_lookup);
+  const Query finder = Query::finder("item", "product_id", std::int64_t{0});
+  d = h.timed([](DbHarness& h, const Query& q) -> Task<void> {
+    co_await h.db.consume_shard(0, q, 10);
+  }(h, finder));
+  EXPECT_EQ(d, h.db.cost_of(finder, 10));
 }
 
 TEST(DatabaseTest, CostScalesWithRows) {
@@ -330,6 +339,58 @@ TEST(JdbcTest, WanJdbcIsMuchSlowerThanLan) {
   sim.run_until();
   // connect RTT + query RTT + 9 fetch RTTs = 11 round trips = 2200 ms.
   EXPECT_GT((sim.now() - start).as_millis(), 2000.0);
+}
+
+TEST(JdbcTest, ScatterTakesTheSlowestLegThenEachShardReusesItsConnection) {
+  // Two shards at different distances from the client; infinite bandwidth,
+  // so each leg's time is its round trips plus its shard's service time.
+  Simulator sim{1};
+  net::Topology topo{sim};
+  auto app = topo.add_node("app", net::NodeRole::kAppServer);
+  auto near = topo.add_node("db-0", net::NodeRole::kDatabaseServer);
+  auto far = topo.add_node("db-1", net::NodeRole::kDatabaseServer);
+  topo.add_link(app, near, ms(1));
+  topo.add_link(app, far, ms(5));
+  net::Network net{sim, topo, Duration::zero()};
+  Database db{topo, std::vector<net::NodeId>{near, far}};
+  auto& t = db.create_table("item", item_columns());
+  for (std::int64_t i = 0; i < 20; ++i) t.insert(item_row(i, 0, "x", 1.0));
+  t.create_index("product_id");
+
+  JdbcConfig cfg;
+  cfg.fetch_size = 100;  // one batch rides on the query response
+  JdbcClient jdbc{net, db, app, cfg};
+  auto timed = [&](Query q) {
+    const SimTime start = sim.now();
+    sim.spawn([](JdbcClient& j, Query q) -> Task<void> {
+      (void)co_await j.execute(std::move(q));
+    }(jdbc, std::move(q)));
+    sim.run_until();
+    return sim.now() - start;
+  };
+
+  const Query finder = Query::finder("item", "product_id", std::int64_t{0});
+  const auto slices = db.partition_result(db.execute_immediate(finder));
+  ASSERT_EQ(slices.size(), 2u);
+  ASSERT_GT(slices[0].rows, 0u);
+  ASSERT_GT(slices[1].rows, 0u);
+  // Each leg: connect round trip, query hop, service, result hop.
+  const Duration near_leg = ms(4) + db.cost_of(finder, slices[0].rows);
+  const Duration far_leg = ms(20) + db.cost_of(finder, slices[1].rows);
+  EXPECT_EQ(timed(finder), std::max(near_leg, far_leg));
+  EXPECT_EQ(jdbc.connections_opened(), 2u);  // one per shard
+
+  // A primary-key lookup runs one leg on its owner, on the pooled connection.
+  std::int64_t on_near = -1, on_far = -1;
+  for (std::int64_t pk = 0; pk < 20; ++pk) {
+    (db.router().shard_of(pk) == 0 ? on_near : on_far) = pk;
+  }
+  ASSERT_GE(on_near, 0);
+  ASSERT_GE(on_far, 0);
+  EXPECT_EQ(timed(Query::pk_lookup("item", on_near)), ms(2) + db.cost_model().pk_lookup);
+  EXPECT_EQ(timed(Query::pk_lookup("item", on_far)), ms(10) + db.cost_model().pk_lookup);
+  EXPECT_EQ(jdbc.connections_opened(), 2u);
+  EXPECT_EQ(jdbc.statements(), 3u);
 }
 
 }  // namespace

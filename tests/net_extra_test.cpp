@@ -105,10 +105,10 @@ TEST(RmiExtraTest, DynamicReplySizeAffectsTransferTime) {
   cfg.dgc_traffic_factor = 1.0;
   RmiTransport rmi{p.net, cfg};
   double small = p.timed([](RmiTransport& rmi, Pair& p) -> Task<void> {
-    co_await rmi.call_dynamic(p.a, p.b, 100, []() -> Task<Bytes> { co_return 100; });
+    co_await rmi.call(p.a, p.b, 100, []() -> Task<Bytes> { co_return 100; });
   }(rmi, p));
   double large = p.timed([](RmiTransport& rmi, Pair& p) -> Task<void> {
-    co_await rmi.call_dynamic(p.a, p.b, 100, []() -> Task<Bytes> { co_return 100000; });
+    co_await rmi.call(p.a, p.b, 100, []() -> Task<Bytes> { co_return 100000; });
   }(rmi, p));
   // 99,900 extra bytes at 1 Mbit/s ≈ 799 ms more.
   EXPECT_NEAR(large - small, 799.2, 5.0);
@@ -120,7 +120,7 @@ TEST(RmiExtraTest, LocalDynamicCallRunsWorkOnly) {
   cfg.extra_rtt_prob = 1.0;  // must not apply to local calls
   RmiTransport rmi{p.net, cfg};
   double t = p.timed([](RmiTransport& rmi, Pair& p) -> Task<void> {
-    co_await rmi.call_dynamic(p.a, p.a, 100, [&p]() -> Task<Bytes> {
+    co_await rmi.call(p.a, p.a, 100, [&p]() -> Task<Bytes> {
       co_await p.sim.wait(ms(7));
       co_return 10;
     });

@@ -217,7 +217,7 @@ RmiConfig no_jitter_rmi() {
 TEST(RmiTest, LocalCallIsFreeAtTransportLayer) {
   Harness h;
   RmiTransport rmi{h.net, no_jitter_rmi()};
-  Duration d = h.timed(rmi.call(h.b, h.b, 100, 100, []() -> Task<void> { co_return; }));
+  Duration d = h.timed(rmi.call(h.b, h.b, 100, []() -> Task<Bytes> { co_return 100; }));
   EXPECT_EQ(d, Duration::zero());
   EXPECT_EQ(rmi.calls(), 1u);
   EXPECT_EQ(rmi.remote_calls(), 0u);
@@ -226,7 +226,7 @@ TEST(RmiTest, LocalCallIsFreeAtTransportLayer) {
 TEST(RmiTest, RemoteCallCostsOneRoundTrip) {
   Harness h;
   RmiTransport rmi{h.net, no_jitter_rmi()};
-  Duration d = h.timed(rmi.call(h.a, h.b, 100, 100, []() -> Task<void> { co_return; }));
+  Duration d = h.timed(rmi.call(h.a, h.b, 100, []() -> Task<Bytes> { co_return 100; }));
   EXPECT_NEAR(d.as_millis(), 200.0, 1.0);
   EXPECT_EQ(rmi.remote_calls(), 1u);
 }
@@ -237,7 +237,7 @@ TEST(RmiTest, ExtraRoundTripsHappenAtConfiguredRate) {
   cfg.extra_rtt_prob = 0.5;
   RmiTransport rmi{h.net, cfg};
   for (int i = 0; i < 200; ++i) {
-    (void)h.timed(rmi.call(h.a, h.b, 10, 10, []() -> Task<void> { co_return; }));
+    (void)h.timed(rmi.call(h.a, h.b, 10, []() -> Task<Bytes> { co_return 10; }));
   }
   double rate = static_cast<double>(rmi.extra_round_trips()) / 200.0;
   EXPECT_NEAR(rate, 0.5, 0.12);
@@ -247,13 +247,13 @@ TEST(RmiTest, DgcFactorInflatesBytes) {
   Harness h;
   RmiConfig cfg = no_jitter_rmi();
   RmiTransport plain{h.net, cfg};
-  (void)h.timed(plain.call(h.a, h.b, 1000, 1000, []() -> Task<void> { co_return; }));
+  (void)h.timed(plain.call(h.a, h.b, 1000, []() -> Task<Bytes> { co_return 1000; }));
   Bytes plain_bytes = h.net.bytes_sent();
 
   h.net.reset_counters();
   cfg.dgc_traffic_factor = 2.0;
   RmiTransport dgc{h.net, cfg};
-  (void)h.timed(dgc.call(h.a, h.b, 1000, 1000, []() -> Task<void> { co_return; }));
+  (void)h.timed(dgc.call(h.a, h.b, 1000, []() -> Task<Bytes> { co_return 1000; }));
   EXPECT_NEAR(static_cast<double>(h.net.bytes_sent()),
               2.0 * static_cast<double>(plain_bytes), 4.0);
 }
@@ -270,8 +270,9 @@ TEST(RmiTest, StubExchangeCostsOneRoundTrip) {
 TEST(RmiTest, ServerWorkIncludedInCallTime) {
   Harness h;
   RmiTransport rmi{h.net, no_jitter_rmi()};
-  Duration d = h.timed(rmi.call(h.a, h.b, 10, 10, [&]() -> Task<void> {
+  Duration d = h.timed(rmi.call(h.a, h.b, 10, [&]() -> Task<Bytes> {
     co_await h.sim.wait(ms(30));
+    co_return 10;
   }));
   EXPECT_NEAR(d.as_millis(), 230.0, 1.0);
 }

@@ -20,6 +20,7 @@
 #include "net/rmi.hpp"
 #include "net/topology.hpp"
 #include "sim/simulator.hpp"
+#include "stats/trace.hpp"
 
 namespace mutsvc {
 namespace {
@@ -377,9 +378,9 @@ TEST(ResilienceTest, RetryExhaustionOpensBreakerAndFastFails) {
       bool threw_delivery = false;
       bool threw_open = false;
       try {
-        co_await rmi.call(w.a, w.b, 100, 100, [&runs]() -> Task<void> {
+        co_await rmi.call(w.a, w.b, 100, [&runs]() -> Task<net::Bytes> {
           ++runs;
-          co_return;
+          co_return 100;
         });
       } catch (const net::CircuitOpenError&) {
         threw_open = true;
@@ -425,9 +426,9 @@ TEST(ResilienceTest, RetrySucceedsAfterTransientLossWithoutRerunningServerWork) 
   int server_runs = 0;
   bool ok = false;
   w.sim.spawn([](FailWorld& w, net::RmiTransport& rmi, int& runs, bool& ok) -> Task<void> {
-    co_await rmi.call(w.a, w.b, 100, 100, [&runs]() -> Task<void> {
+    co_await rmi.call(w.a, w.b, 100, [&runs]() -> Task<net::Bytes> {
       ++runs;
-      co_return;
+      co_return 100;
     });
     ok = true;
   }(w, rmi, server_runs, ok));
@@ -437,6 +438,60 @@ TEST(ResilienceTest, RetrySucceedsAfterTransientLossWithoutRerunningServerWork) 
   EXPECT_EQ(server_runs, 1);  // exactly-once across all retries
   EXPECT_GE(rmi.retries(), 1u);
   EXPECT_EQ(rmi.failed_calls(), 0u);
+}
+
+TEST(ResilienceTest, TracedRetryRunsWorkOnceAndBillsWireTimeOnce) {
+  // The first attempt's request is lost; the retry succeeds. One RMI call
+  // path carries tracing, retries and at-most-once execution together.
+  FailWorld w;
+  net::FaultPlan plan;
+  plan.loss_prob = 1.0;
+  net::FaultInjector inj{w.sim, w.topo, plan};
+  w.net.set_fault_injector(&inj);
+  // The request dies on its first hop (10 ms); loss stops before the retry.
+  w.sim.schedule_after(ms(50), [&w] { w.net.set_fault_injector(nullptr); });
+
+  net::RmiConfig cfg;
+  cfg.extra_rtt_prob = 0.0;
+  net::RmiTransport rmi{w.net, cfg};
+  net::ResilienceConfig res;
+  res.enabled = true;
+  res.call_timeout = ms(100);
+  res.backoff_base = ms(10);
+  res.backoff_jitter = 0.0;
+  rmi.set_resilience(res);
+
+  stats::TraceSink sink;
+  int server_runs = 0;
+  sim::SimTime start, end;
+  w.sim.spawn([](FailWorld& w, net::RmiTransport& rmi, stats::TraceSink& sink, int& runs,
+                 sim::SimTime& start, sim::SimTime& end) -> Task<void> {
+    start = w.sim.now();
+    co_await rmi.call(
+        w.a, w.b, 100,
+        [&w, &runs]() -> Task<net::Bytes> {
+          ++runs;
+          co_await w.sim.wait(ms(30));
+          co_return 100;
+        },
+        &sink);
+    end = w.sim.now();
+  }(w, rmi, sink, server_runs, start, end));
+  w.sim.run_until();
+
+  EXPECT_EQ(server_runs, 1);
+  EXPECT_EQ(rmi.retries(), 1u);
+  EXPECT_EQ(rmi.timeouts(), 1u);
+  const Duration elapsed = end - start;
+  // Timeout, backoff, then a full exchange (two 20 ms one-way trips).
+  EXPECT_EQ(elapsed, res.call_timeout + res.backoff_base + ms(40) + ms(30));
+  EXPECT_EQ(sink.total(stats::SpanKind::kRmiWire), elapsed - ms(30));
+  EXPECT_EQ(sink.sum(), elapsed - ms(30));  // the server work billed nothing itself
+  ASSERT_EQ(sink.spans().size(), 1u);
+  EXPECT_EQ(sink.open_span_count(), 0u);
+  EXPECT_EQ(sink.spans()[0].kind, stats::SpanKind::kRmiWire);
+  EXPECT_EQ(sink.spans()[0].start, start);
+  EXPECT_EQ(sink.spans()[0].end, end);
 }
 
 // --- graceful degradation (component runtime) -----------------------------------------

@@ -41,11 +41,7 @@ apps::AppDriver make_gridviz() {
 }
 HarnessCalibration cal_petstore() { return petstore_calibration(); }
 HarnessCalibration cal_rubis() { return rubis_calibration(); }
-HarnessCalibration cal_gridviz() {
-  HarnessCalibration cal;
-  cal.testbed.db_colocated = true;
-  return cal;
-}
+HarnessCalibration cal_gridviz() { return HarnessCalibration{}; }
 
 const AppCase kApps[] = {
     {"petstore", &make_petstore, &cal_petstore},

@@ -211,7 +211,7 @@ TEST(RmiMetricsTest, FailedCallsAndBreakerStateReachTheRegistry) {
   sim.spawn([](net::RmiTransport& rmi, net::NodeId a, net::NodeId b) -> sim::Task<void> {
     bool threw = false;
     try {
-      co_await rmi.call(a, b, 100, 100, []() -> sim::Task<void> { co_return; });
+      co_await rmi.call(a, b, 100, []() -> sim::Task<net::Bytes> { co_return 100; });
     } catch (const net::NetError&) {
       threw = true;
     }

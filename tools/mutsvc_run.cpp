@@ -202,9 +202,7 @@ int main(int argc, char** argv) {
   }
   if (opt.app == "gridviz") {
     apps::gridviz::GridVizApp app;
-    core::HarnessCalibration cal;
-    cal.testbed.db_colocated = true;
-    return run_with(app.driver(), cal, opt);
+    return run_with(app.driver(), core::HarnessCalibration{}, opt);
   }
   usage(("unknown application " + opt.app).c_str());
 }
