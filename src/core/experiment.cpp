@@ -212,35 +212,45 @@ sim::Task<workload::RequestOutcome> Experiment::execute(net::NodeId client_node,
 sim::Task<void> Experiment::execute_at(net::NodeId client_node, net::NodeId server,
                                        const workload::PageRequest& request,
                                        comp::TraceSink* trace) {
+  // The handler captures `this` and one pointer to the page's arguments in
+  // this frame, so the transport's std::function keeps it in its small
+  // buffer and a page costs no heap call.
+  struct Page {
+    net::NodeId server;
+    const workload::PageRequest& request;
+    comp::TraceSink* trace;
+  };
+  const Page page{server, request, trace};
   // The HTTP transport owns the root span and the exclusive http-wire
   // accounting (elapsed minus the handler's window); the handler bills the
   // thread-pool wait and everything the runtime does below it.
   co_await http_.request(client_node, server, request.request_bytes,
-                         [this, server, &request, trace]() -> sim::Task<net::Bytes> {
+                         [this, &page]() -> sim::Task<net::Bytes> {
                            const sim::SimTime s0 = sim_.now();
-                           sim::FifoResource& pool = thread_pool(server);
+                           sim::FifoResource& pool = thread_pool(page.server);
                            co_await pool.acquire();
-                           if (trace) {
+                           if (page.trace) {
                              const sim::SimTime s1 = sim_.now();
-                             trace->add(comp::SpanKind::kQueueing, s1 - s0);
+                             page.trace->add(comp::SpanKind::kQueueing, s1 - s0);
                              if (s1 > s0) {
-                               trace->leaf(comp::SpanKind::kQueueing, "thread-queue",
-                                           server.value(), server.value(), s0, s1);
+                               page.trace->leaf(comp::SpanKind::kQueueing, "thread-queue",
+                                                page.server.value(), page.server.value(), s0,
+                                                s1);
                              }
                            }
                            try {
                              // One name resolution per page; the page's
                              // arguments are lent, not copied.
                              (void)co_await runtime_->invoke(
-                                 server, request.component, request.method,
-                                 comp::CallArgs::borrow(request.args), trace,
-                                 request.session_key);
+                                 page.server, page.request.component, page.request.method,
+                                 comp::CallArgs::borrow(page.request.args), page.trace,
+                                 page.request.session_key);
                            } catch (...) {
                              pool.release();
                              throw;
                            }
                            pool.release();
-                           co_return request.response_bytes;
+                           co_return page.request.response_bytes;
                          },
                          trace);
 }

@@ -56,19 +56,16 @@ QueryResult Database::execute_immediate(const Query& q) {
       break;
     }
     case QueryKind::kUpdate: {
-      ++writes_;
       table(q.table).update_column(q.pk, q.column, q.value);
       res.affected = 1;
       break;
     }
     case QueryKind::kInsert: {
-      ++writes_;
       table(q.table).insert(q.row);
       res.affected = 1;
       break;
     }
     case QueryKind::kDelete: {
-      ++writes_;
       res.affected = table(q.table).erase(q.pk) ? 1 : 0;
       break;
     }

@@ -112,8 +112,6 @@ class Database {
     return ++it->second;
   }
 
-  [[nodiscard]] std::uint64_t writes_executed() const { return writes_; }
-
  private:
   net::Topology& topo_;
   std::vector<net::NodeId> homes_;
@@ -122,7 +120,6 @@ class Database {
   std::unordered_map<std::string, std::unique_ptr<Table>> tables_;
   std::unordered_map<std::string, AggregateFn> aggregates_;
   std::unordered_map<std::string, std::int64_t> sequences_;
-  std::uint64_t writes_ = 0;
 };
 
 }  // namespace mutsvc::db

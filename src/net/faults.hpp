@@ -81,7 +81,6 @@ class FaultInjector {
   // --- accounting ---------------------------------------------------------
   [[nodiscard]] std::uint64_t crashes() const { return crashes_; }
   [[nodiscard]] std::uint64_t restarts() const { return restarts_; }
-  [[nodiscard]] const FaultPlan& plan() const { return plan_; }
 
  private:
   [[nodiscard]] double loss_prob_for(const Link& link) const;

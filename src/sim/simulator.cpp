@@ -1,6 +1,7 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdio>
 #include <exception>
@@ -42,9 +43,22 @@ DetachedTask run_detached(Task<void> task) { co_await std::move(task); }
 
 constexpr std::uintptr_t kResumeBit = 1;
 
+/// Capacity each bucket gets up front, so a run whose clock first reaches
+/// a higher bit does not allocate in its steady state.
+constexpr std::size_t kBucketReserve = 64;
+
+/// Radix-heap bucket of time `at` relative to `base` (at >= base): 0 when
+/// equal, else one more than the index of the highest bit they differ in.
+std::size_t bucket_of(SimTime at, SimTime base) {
+  return static_cast<std::size_t>(std::bit_width(
+      static_cast<std::uint64_t>(at.count_micros() ^ base.count_micros())));
+}
+
 }  // namespace
 
-Simulator::Simulator(std::uint64_t seed) : next_seq_(1, 0), rng_(seed) {}
+Simulator::Simulator(std::uint64_t seed) : next_seq_(1, 0), rng_(seed) {
+  for (auto& bucket : buckets_) bucket.reserve(kBucketReserve);
+}
 
 Simulator::DomainScope::DomainScope(Simulator& sim, DomainId d)
     : sim_(sim), prev_(sim.current_domain_) {
@@ -59,7 +73,7 @@ void Simulator::enable_domains(std::uint32_t count) {
     throw std::invalid_argument("Simulator: domain count must be in [1, 256]");
   }
   if (domain_count_ > 0) throw std::logic_error("Simulator: domains already enabled");
-  if (!heap_.empty() || executed_ > 0) {
+  if (pending_ > 0 || executed_ > 0) {
     throw std::logic_error("Simulator: enable domains before scheduling events");
   }
   domain_count_ = count;
@@ -72,9 +86,53 @@ std::uint64_t Simulator::next_key(DomainId target, DomainId owner) {
          (static_cast<std::uint64_t>(owner) << 48) | next_seq_[owner]++;
 }
 
+inline void Simulator::place(SimTime at, std::uint64_t key, std::uintptr_t payload) {
+  const std::size_t b = bucket_of(at, base_);
+  std::vector<Node>& bucket = buckets_[b];
+  bucket.push_back(Node{at, key, payload});
+  if (b != 0) {
+    occupied_ |= std::uint64_t{1} << b;
+  } else if (bucket.size() > 1) {
+    std::push_heap(bucket.begin(), bucket.end(), KeyOrder{});
+  }
+}
+
 void Simulator::push_event(SimTime at, std::uint64_t key, std::uintptr_t payload) {
-  heap_.push_back(HeapNode{at, key, payload});
-  std::push_heap(heap_.begin(), heap_.end(), NodeOrder{});
+  place(at, key, payload);
+  ++pending_;
+}
+
+bool Simulator::pop_next(SimTime until, Node& out) {
+  std::vector<Node>& due = buckets_[0];
+  if (due.empty()) {
+    if (occupied_ == 0) return false;
+    const auto b = static_cast<std::size_t>(std::countr_zero(occupied_));
+    const std::uint64_t bit = std::uint64_t{1} << b;
+    std::vector<Node>& from = buckets_[b];
+    // Never move the base past `until`: the caller may then schedule
+    // between `until` and this bucket's earliest event.
+    if (from.size() == 1) {  // the usual case: the lone event is the next one
+      if (from.front().at > until) return false;
+      out = from.front();
+      from.clear();
+      occupied_ &= ~bit;
+      base_ = out.at;
+      return true;
+    }
+    SimTime earliest = SimTime::max();
+    for (const Node& node : from) earliest = std::min(earliest, node.at);
+    if (earliest > until) return false;
+    base_ = earliest;
+    for (const Node& node : from) place(node.at, node.key, node.payload);  // all land below b
+    from.clear();
+    occupied_ &= ~bit;
+  } else if (base_ > until) {
+    return false;
+  }
+  std::pop_heap(due.begin(), due.end(), KeyOrder{});
+  out = due.back();
+  due.pop_back();
+  return true;
 }
 
 std::uintptr_t Simulator::make_slot(EventFn fn) {
@@ -121,7 +179,7 @@ void Simulator::spawn(Task<void> task) {
   run_detached(std::move(task));
 }
 
-void Simulator::dispatch(const HeapNode& node) {
+void Simulator::dispatch(const Node& node) {
   if (node.payload & kResumeBit) {
     std::coroutine_handle<>::from_address(
         reinterpret_cast<void*>(node.payload & ~kResumeBit))
@@ -140,10 +198,9 @@ std::size_t Simulator::run_until(SimTime until) {
   const std::size_t before = executed_;
   const DomainId prev_domain = current_domain_;
   const bool tagged = domain_count_ > 0;
-  while (!heap_.empty() && heap_.front().at <= until) {
-    std::pop_heap(heap_.begin(), heap_.end(), NodeOrder{});
-    const HeapNode node = heap_.back();
-    heap_.pop_back();
+  Node node{};
+  while (pop_next(until, node)) {
+    --pending_;
     now_ = node.at;
     if (tagged) current_domain_ = static_cast<DomainId>(node.key >> 56);
     dispatch(node);

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <coroutine>
 #include <cstdint>
 #include <stdexcept>
@@ -14,25 +15,38 @@ namespace mutsvc::sim {
 
 /// Discrete-event simulation kernel.
 ///
-/// Owns the virtual clock and the event heap. Events scheduled for the same
-/// time fire in insertion order (stable FIFO tie-break), which makes runs
-/// fully deterministic.
+/// Owns the virtual clock and the event queue. Events fire in `(time,
+/// order key)` order; events scheduled for the same time fire in insertion
+/// order (stable FIFO tie-break), which makes runs fully deterministic.
 ///
-/// Hot-path layout: the heap itself holds 24-byte POD nodes (time, order
-/// key, payload), so sift operations are plain memmoves with no callable
-/// moves. A payload with bit 0 set is a bare coroutine-resume handle — the
-/// dominant `wait()` path — executed without ever touching the callable
-/// slab; otherwise the payload is a slab slot (an `EventFn` recycled through
-/// a freelist). Slot recycling is driven purely by the (deterministic)
-/// event order, so it never perturbs results.
+/// Event queue (DESIGN §10): a radix heap on the event's integer
+/// microsecond time, which the monotone clock allows because nothing is
+/// scheduled before now(). `base_` is the time of the last event popped.
+/// Bucket 0 holds the events at exactly `base_`, as a small binary heap on
+/// the order key; bucket b >= 1 holds the events whose time first differs
+/// from `base_` in bit b-1, unordered, so every bucket's events are earlier
+/// than every higher bucket's. When bucket 0 runs dry, the lowest non-empty
+/// bucket's earliest time becomes the new base and that bucket's events move
+/// down, each to a strictly lower bucket (a lone event is popped where it
+/// lies). `run_until(until)` never moves the base past `until`, so a caller
+/// may schedule between `until` and the next pending event. The pop order
+/// is exactly that of a heap over `(time, masked key)`.
+///
+/// Hot-path layout: buckets hold 24-byte POD nodes (time, order key,
+/// payload), so moving an event is a plain copy with no callable moves. A
+/// payload with bit 0 set is a bare coroutine-resume handle — the dominant
+/// `wait()` path — executed without ever touching the callable slab;
+/// otherwise the payload is a slab slot (an `EventFn` recycled through a
+/// freelist). Slot recycling is driven purely by the (deterministic) event
+/// order, so it never perturbs results.
 ///
 /// Lookahead domains (DESIGN §15): `enable_domains()` tags every event with
 /// the domain that created it (owner) and the domain it runs in (target).
-/// The order key packs `target(8) | owner(8) | per-owner seq(48)` and the
-/// heap comparator masks the target byte off, so same-time events fire in
-/// `(owner, seq)` order — a total order assigned where the event is
-/// *created*. The experiment harness partitions its testbed into WAN
-/// islands this way, and the paper-ladder goldens are recorded in that
+/// The order key packs `target(8) | owner(8) | per-owner seq(48)` and
+/// bucket 0 compares keys with the target byte masked off, so same-time
+/// events fire in `(owner, seq)` order — a total order assigned where the
+/// event is *created*. The experiment harness partitions its testbed into
+/// WAN islands this way, and the paper-ladder goldens are recorded in that
 /// order. With domains disabled the key degenerates to the global FIFO
 /// sequence — bare Simulator users see the plain `(time, seq)` kernel.
 class Simulator {
@@ -55,7 +69,7 @@ class Simulator {
   }
 
   /// Schedules a bare coroutine resume — the `wait()` hot path. Skips the
-  /// callable slab entirely: the handle rides in the heap node itself.
+  /// callable slab entirely: the handle rides in the queue node itself.
   void schedule_resume_at(SimTime at, std::coroutine_handle<> h);
   void schedule_resume_after(Duration after, std::coroutine_handle<> h) {
     schedule_resume_at(now() + after, h);
@@ -90,8 +104,8 @@ class Simulator {
   /// Runs for `d` of simulated time from the current clock.
   std::size_t run_for(Duration d) { return run_until(now() + d); }
 
-  [[nodiscard]] bool idle() const { return heap_.empty(); }
-  [[nodiscard]] std::size_t pending_events() const { return heap_.size(); }
+  [[nodiscard]] bool idle() const { return pending_ == 0; }
+  [[nodiscard]] std::size_t pending_events() const { return pending_; }
   [[nodiscard]] std::size_t executed_events() const { return executed_; }
 
   /// Root RNG; subsystems should fork named streams from it.
@@ -140,35 +154,44 @@ class Simulator {
   }
 
  private:
-  /// Order key: target(8) | owner(8) | per-owner sequence(48). The
-  /// comparator masks the target byte so the order is (time, owner, seq).
-  /// Untagged events use owner 0 and the global sequence: exactly the
-  /// plain (time, seq) FIFO order.
+  /// Order key: target(8) | owner(8) | per-owner sequence(48). Bucket 0
+  /// masks the target byte so the order is (time, owner, seq). Untagged
+  /// events use owner 0 and the global sequence: exactly the plain
+  /// (time, seq) FIFO order.
   static constexpr std::uint64_t kOrderMask = 0x00FF'FFFF'FFFF'FFFFULL;
 
-  struct HeapNode {
+  /// Times are non-negative 63-bit microseconds, so bucket 63 (bit 62)
+  /// is the highest an event can land in.
+  static constexpr std::size_t kBuckets = 64;
+
+  struct Node {
     SimTime at;
     std::uint64_t key;
     std::uintptr_t payload;  // bit 0: coroutine handle; else slab slot << 1
   };
-  struct NodeOrder {
-    bool operator()(const HeapNode& a, const HeapNode& b) const {
-      if (a.at != b.at) return a.at > b.at;                      // min-heap on time
-      return (a.key & kOrderMask) > (b.key & kOrderMask);        // (owner, seq)
+  /// Bucket 0's heap order: a min-heap on the masked (owner, seq) key.
+  struct KeyOrder {
+    bool operator()(const Node& a, const Node& b) const {
+      return (a.key & kOrderMask) > (b.key & kOrderMask);
     }
   };
 
   [[nodiscard]] std::uint64_t next_key(DomainId target, DomainId owner);
   void push_event(SimTime at, std::uint64_t key, std::uintptr_t payload);
+  void place(SimTime at, std::uint64_t key, std::uintptr_t payload);
+  [[nodiscard]] bool pop_next(SimTime until, Node& out);
   [[nodiscard]] std::uintptr_t make_slot(EventFn fn);
   void schedule_resume_in(DomainId dest, Duration d, std::coroutine_handle<> h);
-  void dispatch(const HeapNode& node);
+  void dispatch(const Node& node);
 
   SimTime now_;
   std::size_t executed_ = 0;
   std::uint32_t domain_count_ = 0;  // 0 = untagged (bare simulator)
   DomainId current_domain_ = 0;
-  std::vector<HeapNode> heap_;
+  SimTime base_;                                      // time of the last event popped
+  std::array<std::vector<Node>, kBuckets> buckets_;   // [0]: heap at base_
+  std::uint64_t occupied_ = 0;                        // bit b: buckets_[b] non-empty, b >= 1
+  std::size_t pending_ = 0;
   std::vector<EventFn> slots_;             // slab of pending callables
   std::vector<std::uint32_t> free_slots_;  // recycled slab slots
   std::vector<std::uint64_t> next_seq_;    // per-owner sequence counters
